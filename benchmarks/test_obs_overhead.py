@@ -29,8 +29,12 @@ import pytest
 from benchmarks._report import write_benchmark_report
 from repro.cadt import Cadt
 from repro.engine import EngineRuntime
-from repro.engine.executor import _chunk_rngs, _tally_chunks, cancer_class_labels, plan_chunks
-from repro.engine.runtime import _decide_jobs
+from repro.engine.fused import (
+    build_fused_item,
+    cancer_classes,
+    row_evaluation,
+    run_fused_batch,
+)
 from repro.obs import Instrumentation
 from repro.reader import MILD_BIAS, ReaderModel, ReaderSkill
 from repro.screening import (
@@ -73,25 +77,27 @@ def workload():
     )
 
 
-def bare_compare(systems, workload, chunks, positions, labels):
-    """The pre-observability runtime's warm serial loop, reconstructed.
+def bare_compare(systems, workload, positions, codes, classes):
+    """A warm serial ``EngineRuntime.compare`` minus its call sites.
 
     Per evaluation this is what a warm serial ``EngineRuntime.evaluate``
-    did before instrumentation existed: the fingerprint-checked
-    columnisation cache (``workload.to_arrays()``), the chunk plan, the
-    per-chunk generators, :func:`_decide_jobs` over the same jobs, and
-    the same tally over precomputed labels.  The only thing a warm
+    does: the fingerprint-checked columnisation cache
+    (``workload.to_arrays()``), one fused item, the engine's kernel run
+    in-process over the same chunks and generators, and the same
+    demultiplexing over precomputed class codes.  The only thing a warm
     ``EngineRuntime.compare`` at ``workers=1`` adds on top is the
-    instrumentation call sites — exactly the cost under test.
+    instrumentation call sites and the runtime's dispatch bookkeeping —
+    exactly the cost under test.
     """
     results = {}
     for system in systems:
         arrays = workload.to_arrays()  # warm, but fingerprint-checked per call
-        rngs = _chunk_rngs(SEED, len(chunks))
-        jobs = [(start, stop, rng) for (start, stop), rng in zip(chunks, rngs)]
-        chunk_failures = _decide_jobs(system, arrays, jobs)
-        tally = _tally_chunks(arrays, chunks, chunk_failures, positions, labels)
-        results[system.name] = tally.to_evaluation(system.name, workload.name, LEVEL)
+        item = build_fused_item(0, system, SEED)
+        task = (arrays, CHUNK_SIZE, positions, codes, len(classes), (item,))
+        (row,) = run_fused_batch(task)
+        results[system.name] = row_evaluation(
+            system, row, classes, workload.name, LEVEL
+        )
     return results
 
 
@@ -111,14 +117,14 @@ def test_disabled_instrumentation_keeps_98_percent_throughput(workload):
     classifier = SubtletyClassifier()
     systems = make_systems()
 
-    arrays = workload.to_arrays()
-    chunks = plan_chunks(len(arrays), CHUNK_SIZE)
-    positions, labels = cancer_class_labels(workload, classifier, arrays)
+    positions, codes, classes = cancer_classes(
+        workload, classifier, workload.to_arrays()
+    )
 
     bare_times = []
     for _ in range(REPEATS):
         start = time.perf_counter()
-        bare = bare_compare(systems, workload, chunks, positions, labels)
+        bare = bare_compare(systems, workload, positions, codes, classes)
         bare_times.append(time.perf_counter() - start)
     bare_elapsed = min(bare_times)
 

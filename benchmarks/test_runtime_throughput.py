@@ -28,7 +28,7 @@ from benchmarks._report import write_benchmark_report
 from repro.cadt import Cadt
 from repro.engine import EngineRuntime, compare_systems_batch, evaluate_system_batch
 from repro.engine.arrays import CaseArrays
-from repro.engine.executor import _chunk_rngs, _decide_chunk, plan_chunks
+from repro.engine.executor import plan_chunks
 from repro.reader import MILD_BIAS, ReaderModel, ReaderSkill
 from repro.screening import (
     SubtletyClassifier,
@@ -70,6 +70,12 @@ def workload():
     )
 
 
+def _decide_chunk(system, chunk, rng):
+    """One chunk's failure flags: the old executor's per-call pool task."""
+    decisions = system.decide_batch(chunk, rng=rng)
+    return np.asarray(decisions.failures(chunk.has_cancer))
+
+
 def per_call_pool_compare(systems, workload, classifier):
     """The pre-runtime executor path, reconstructed faithfully.
 
@@ -83,7 +89,10 @@ def per_call_pool_compare(systems, workload, classifier):
     for system in systems:
         arrays = CaseArrays.from_cases(workload.cases)  # uncached columnise
         chunks = plan_chunks(len(arrays), CHUNK_SIZE)
-        rngs = _chunk_rngs(SEED, len(chunks))
+        rngs = [
+            np.random.default_rng(child)
+            for child in np.random.SeedSequence(SEED).spawn(len(chunks))
+        ]
         with ProcessPoolExecutor(max_workers=WORKERS) as pool:
             futures = [
                 pool.submit(_decide_chunk, system, arrays.chunk(start, stop), rng)

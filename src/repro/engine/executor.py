@@ -1,37 +1,31 @@
-"""Chunked execution of batch-capable systems over workloads.
+"""Public entry points of the batch engine.
 
-The executor is the engine's outer loop: it columnises a workload once,
-splits it into chunks, drives each chunk through the system's
-``decide_batch``, and merges the per-chunk failure counts into the same
-:class:`~repro.system.simulate.SystemEvaluation` the scalar loop
+:func:`evaluate_system_batch` and :func:`compare_systems_batch` are the
+vectorized counterparts of the scalar loop in
+:mod:`repro.system.simulate`: each system becomes a one-item task for
+the engine's one kernel (:mod:`repro.engine.fused`), which returns the
+same :class:`~repro.system.simulate.SystemEvaluation` the scalar loop
 produces.  Three properties are load-bearing:
 
-* **Scalar equivalence.**  Unseeded serial runs draw from the components'
-  private generators in the scalar loop's exact layout, so a fresh system
-  evaluated here produces *bit-identical* failure counts to the same
-  fresh system driven through :func:`~repro.system.simulate.evaluate_system`.
-  A seeded single-chunk run likewise reproduces the seeded scalar loop.
-* **Determinism under parallelism.**  With a seed, each chunk gets its own
-  generator from ``SeedSequence(seed).spawn``, so results depend only on
+* **Scalar equivalence.**  Unseeded runs, and seeded single-chunk runs,
+  are *bit-identical* to :func:`~repro.system.simulate.evaluate_system`
+  on fresh, identically-seeded systems.
+* **Determinism under parallelism.**  Seeded results depend only on
   ``(seed, chunk_size)`` — never on worker count or scheduling.
-* **Transparent fallback.**  Stateful-but-vectorizable systems (fatigued
-  or adapting readers over a vectorizable base) advance in order through
-  the stream-carry protocol, bit-identical to their scalar loops; the
-  remaining order-dependent systems (drifting tools, custom readers) are
-  routed to the scalar loop unchanged, so callers can use one entry
-  point for every system.
+* **Transparent fallback.**  Temporal readers run on the ordered
+  stream-carry path; systems that are neither stateless nor
+  stream-capable (drifting tools, custom readers) take the scalar loop
+  unchanged, so one entry point serves every system.
 
-The module-level functions here are the *per-call* entry points: each
-parallel call builds (and tears down) its own process pool.  Programs
-that evaluate repeatedly — multi-system comparisons, extrapolation
-sweeps — should hold a :class:`~repro.engine.runtime.EngineRuntime`
-instead, which keeps the pool and the columnised workload plane alive
-across calls; both entry points accept one via ``runtime=``.
+``workers=1`` without a runtime runs the kernel in this process;
+``workers > 1`` evaluates on an ephemeral
+:class:`~repro.engine.runtime.EngineRuntime`.  Programs that evaluate
+repeatedly should hold a runtime and pass it as ``runtime=``, keeping
+the pool and the columnised workload plane alive across calls.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
@@ -41,9 +35,19 @@ from ..exceptions import SimulationError
 from ..obs import get_instrumentation
 from ..screening.classifier import CaseClassifier, SingleClassClassifier
 from ..screening.workload import Workload
-from ..system.simulate import FailureTally, SystemEvaluation, evaluate_system
+from ..system.simulate import SystemEvaluation, evaluate_system
 from ..system.single import ScreeningSystem
 from .arrays import CaseArrays
+from .fused import (
+    _run_task,
+    build_fused_item,
+    cancer_class_codes,
+    cancer_classes,
+    plan_chunks,
+    row_evaluation,
+    supports_batch,
+    supports_stream,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
     from .runtime import EngineRuntime
@@ -65,102 +69,6 @@ __all__ = [
 DEFAULT_CHUNK_SIZE = 16384
 
 
-def plan_chunks(num_cases: int, chunk_size: int) -> list[tuple[int, int]]:
-    """Split ``[0, num_cases)`` into consecutive ``[start, stop)`` chunks."""
-    if chunk_size <= 0:
-        raise SimulationError(f"chunk_size must be positive, got {chunk_size!r}")
-    return [
-        (start, min(start + chunk_size, num_cases))
-        for start in range(0, num_cases, chunk_size)
-    ]
-
-
-def supports_batch(system: ScreeningSystem) -> bool:
-    """Whether a system can run on the vectorized path.
-
-    True when the system exposes ``decide_batch`` and declares itself
-    stateless via its ``supports_batch`` property; everything else takes
-    the scalar fallback.
-    """
-    return bool(getattr(system, "supports_batch", False)) and hasattr(
-        system, "decide_batch"
-    )
-
-
-def supports_stream(system: ScreeningSystem) -> bool:
-    """Whether a system can run on the stateful stream path.
-
-    True when the system exposes the chunk-carry protocol
-    (``stream_state`` / ``advance_stream`` / ``commit_stream``) and
-    declares it usable via its ``supports_stream`` property — temporal
-    reader wrappers (fatigue, trust adaptation) around vectorizable base
-    readers.  Chunks then advance *in order*, each handing its
-    :class:`~repro.reader.state.ReaderStateVector` to the next, instead
-    of degrading to the scalar loop.
-    """
-    return bool(getattr(system, "supports_stream", False)) and hasattr(
-        system, "advance_stream"
-    )
-
-
-def _decide_chunk(
-    system: ScreeningSystem,
-    chunk: CaseArrays,
-    rng: np.random.Generator | None,
-) -> np.ndarray:
-    """Run one chunk; returns the per-case failure flags (bool[n]).
-
-    Module-level so :class:`~concurrent.futures.ProcessPoolExecutor` can
-    pickle it; the system travels with the task.
-    """
-    decisions = system.decide_batch(chunk, rng=rng)
-    return np.asarray(decisions.failures(chunk.has_cancer))
-
-
-def _advance_stream_chunks(
-    system: ScreeningSystem,
-    arrays: CaseArrays,
-    chunks: Sequence[tuple[int, int]],
-    rngs: Sequence[np.random.Generator | None],
-) -> list[np.ndarray]:
-    """Advance a reader stream chunk by chunk, in order.
-
-    The carried state threads from each chunk into the next and the
-    final state is committed back into the system's wrapper objects, so
-    the caller's reader ends the evaluation exactly where the scalar
-    loop would leave it.
-    """
-    state = system.stream_state()
-    chunk_failures = []
-    for (start, stop), rng in zip(chunks, rngs):
-        chunk = arrays.chunk(start, stop)
-        decisions, state = system.advance_stream(chunk, state, rng=rng)
-        chunk_failures.append(np.asarray(decisions.failures(chunk.has_cancer)))
-    system.commit_stream(state)
-    return chunk_failures
-
-
-def _chunk_rngs(
-    seed: int | None, n_chunks: int
-) -> list[np.random.Generator | None]:
-    """One generator per chunk.
-
-    ``None`` entries mean "use the components' private generators" — the
-    unseeded serial mode that replicates the scalar loop's stream.  A
-    seeded single chunk reuses ``default_rng(seed)`` directly so it
-    matches the seeded scalar loop bit for bit; multiple chunks get
-    independent spawned streams, deterministic in ``(seed, n_chunks)``.
-    """
-    if seed is None:
-        return [None] * n_chunks
-    if n_chunks == 1:
-        return [np.random.default_rng(seed)]
-    return [
-        np.random.default_rng(ss)
-        for ss in np.random.SeedSequence(seed).spawn(n_chunks)
-    ]
-
-
 def cancer_class_labels(
     workload: Workload,
     classifier: CaseClassifier,
@@ -170,12 +78,11 @@ def cancer_class_labels(
 ) -> tuple[np.ndarray, list[CaseClass]]:
     """Positions and classes of the workload's cancer cases, in order.
 
-    Uses the classifier's vectorized ``classify_batch`` (indices into
-    ``classifier.classes``) when it offers one; classifiers that only
-    implement the per-case ``classify`` — including third-party ones —
-    fall back to the original case loop and produce identical labels.
-    ``on_scalar_fallback`` (if given) is invoked exactly when that loop
-    is taken, so callers like the runtime can surface the degradation.
+    A thin wrapper over :func:`~repro.engine.fused.cancer_class_codes`
+    (the engine's one classification routine, which takes the
+    classifier's vectorized ``classify_batch`` when it offers one and
+    the per-case ``classify`` loop otherwise — invoking
+    ``on_scalar_fallback``, if given, exactly when it does).
 
     Returns:
         ``(positions, labels)`` where ``positions`` is the sorted
@@ -186,42 +93,11 @@ def cancer_class_labels(
     if arrays is None:
         arrays = workload.to_arrays()
     positions = np.flatnonzero(arrays.has_cancer)
-    batch = getattr(classifier, "classify_batch", None)
-    if batch is not None:
-        try:
-            codes = np.asarray(batch(arrays))
-        except NotImplementedError:
-            codes = None
-        if codes is not None:
-            if codes.shape != (len(arrays),):
-                raise SimulationError(
-                    f"classify_batch returned shape {codes.shape}, expected "
-                    f"({len(arrays)},)"
-                )
-            classes = classifier.classes
-            return positions, [classes[int(code)] for code in codes[positions]]
-    if on_scalar_fallback is not None:
-        on_scalar_fallback()
-    return positions, [
-        classifier.classify(case) for case in workload.cases if case.has_cancer
-    ]
-
-
-def _tally_chunks(
-    arrays: CaseArrays,
-    chunks: Sequence[tuple[int, int]],
-    chunk_failures: Sequence[np.ndarray],
-    positions: np.ndarray,
-    labels: list[CaseClass],
-) -> FailureTally:
-    """Merge per-chunk failure flags into one tally, classes attached."""
-    tally = FailureTally()
-    for (start, stop), failed in zip(chunks, chunk_failures):
-        low, high = np.searchsorted(positions, (start, stop))
-        tally.record_batch(
-            arrays.has_cancer[start:stop], failed, labels[low:high]
-        )
-    return tally
+    codes = cancer_class_codes(
+        workload, classifier, arrays, positions, on_scalar_fallback=on_scalar_fallback
+    )
+    classes = classifier.classes
+    return positions, [classes[int(code)] for code in codes]
 
 
 def evaluate_system_batch(
@@ -241,10 +117,9 @@ def evaluate_system_batch(
     systems — temporal reader wrappers exposing the stream-carry
     protocol — advance chunk by chunk *in order*, handing their
     :class:`~repro.reader.state.ReaderStateVector` across chunk
-    boundaries (on this per-call path the ordered stream always runs
-    in-process; ``workers`` only fans out stateless chunks).  Remaining
-    stateful systems fall back to the scalar loop transparently,
-    preserving their order-dependent semantics.
+    boundaries and committing the final state back into ``system``.
+    Remaining stateful systems fall back to the scalar loop
+    transparently, preserving their order-dependent semantics.
 
     Args:
         system: The system to drive.
@@ -255,11 +130,13 @@ def evaluate_system_batch(
         seed: When given, chunk generators derive from this seed (see
             module docstring); when omitted, components draw from their
             private generators — serial only.
-        workers: Processes to fan chunks out over (1 = in-process).
-            Requires a seed: private component generators cannot be
-            advanced coherently across processes.  Note that component
-            state (e.g. a tool's processed-case counter) then advances in
-            the worker copies, not the caller's objects.
+        workers: Processes to fan chunks out over (1 = in-process);
+            ``> 1`` evaluates on an ephemeral
+            :class:`~repro.engine.runtime.EngineRuntime`.  Requires a
+            seed: private component generators cannot be advanced
+            coherently across processes.  Note that component state
+            (e.g. a tool's processed-case counter) then advances in the
+            worker copies, not the caller's objects.
         chunk_size: Cases per chunk.  Seeded results depend only on
             ``(seed, chunk_size)``; unseeded serial results are
             chunk-size-invariant.  ``None`` plans the size adaptively
@@ -292,12 +169,18 @@ def evaluate_system_batch(
             "draw from private generators that cannot be shared coherently "
             "across processes"
         )
-    classifier = classifier if classifier is not None else SingleClassClassifier()
-
     obs = get_instrumentation()
     with obs.span(
         "executor.evaluate", system=system.name, cases=len(workload)
     ) as span:
+        if workers > 1:
+            from .runtime import EngineRuntime
+
+            with EngineRuntime(workers=workers) as ephemeral:
+                return ephemeral.evaluate(
+                    system, workload, classifier, level, seed=seed, chunk_size=chunk_size
+                )
+        classifier = classifier if classifier is not None else SingleClassClassifier()
         arrays = workload.to_arrays()
         if chunk_size is None:
             from .runtime import plan_chunk_size
@@ -305,38 +188,17 @@ def evaluate_system_batch(
             chunk_size = plan_chunk_size(
                 len(arrays), workers, bytes_per_case=arrays.bytes_per_case
             )
-        chunks = plan_chunks(len(arrays), chunk_size)
-        span.set(chunks=len(chunks), workers=workers)
-        rngs = _chunk_rngs(seed, len(chunks))
-
-        if not supports_batch(system):
-            # Ordered reader stream: chunks carry state sequentially, so
-            # the per-call path runs them in-process whatever `workers`.
-            span.set(stream=True)
-            chunk_failures = _advance_stream_chunks(system, arrays, chunks, rngs)
-        elif workers == 1:
-            chunk_failures = [
-                _decide_chunk(system, arrays.chunk(start, stop), rng)
-                for (start, stop), rng in zip(chunks, rngs)
-            ]
-        else:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                futures = [
-                    pool.submit(
-                        _decide_chunk, system, arrays.chunk(start, stop), rng
-                    )
-                    for (start, stop), rng in zip(chunks, rngs)
-                ]
-                chunk_failures = [future.result() for future in futures]
-
-        positions, labels = cancer_class_labels(
+        span.set(chunks=len(plan_chunks(len(arrays), chunk_size)), workers=workers)
+        positions, codes, classes = cancer_classes(
             workload,
             classifier,
             arrays,
             on_scalar_fallback=lambda: obs.count("executor.scalar_classify"),
         )
-        tally = _tally_chunks(arrays, chunks, chunk_failures, positions, labels)
-        return tally.to_evaluation(system.name, workload.name, level)
+        item = build_fused_item(0, system, seed)
+        task = (arrays, chunk_size, positions, codes, len(classes), (item,))
+        ((row,), _) = _run_task(task)
+        return row_evaluation(system, row, classes, workload.name, level)
 
 
 def compare_systems_batch(

@@ -1,49 +1,38 @@
-"""Persistent engine runtime: pooled workers over a shared-memory workload plane.
+"""Persistent engine runtime: where the engine's one kernel runs.
 
-:mod:`repro.engine.executor` is correct but *per-call*: every parallel
-evaluation builds a process pool, pickles the chunk arrays into every
-task, recolumnises the workload, and reclassifies its cancer cases.
-For programs that evaluate repeatedly — multi-system comparisons,
-extrapolation grids, setting sweeps — that overhead dwarfs the actual
-decision kernels.  :class:`EngineRuntime` amortises all four costs:
+Every evaluation is a fused task for the kernel in
+:mod:`repro.engine.fused`.  :class:`EngineRuntime` decides where each
+task runs and amortises everything around it across calls:
 
-* **Persistent pool.**  One :class:`~concurrent.futures.ProcessPoolExecutor`
-  is created lazily and reused across every ``evaluate``/``compare``/``map``
-  call until :meth:`EngineRuntime.close` (or the context manager exit).
+* **One dispatch.**  :meth:`EngineRuntime.run_fused` places tasks
+  in-process or on one persistent
+  :class:`~concurrent.futures.ProcessPoolExecutor`, created lazily and
+  reused until :meth:`EngineRuntime.close`.  ``evaluate``/``compare``,
+  the sweep runner and the service all dispatch through it; ``map``
+  remains for generic grid work.
 * **Zero-copy workload plane.**  Each distinct workload's
   :class:`~repro.engine.arrays.CaseArrays` is published *once* into a
-  :class:`multiprocessing.shared_memory.SharedMemory` segment; tasks
-  carry only a :class:`_SegmentSpec` (segment name + column offsets) and
-  ``(start, stop, rng)`` jobs, and workers attach and slice views —
-  no array ever travels through a pickle after publication.
+  shared-memory segment; pooled tasks carry only a
+  :class:`~repro.engine.fused._SegmentSpec` and workers attach views —
+  no array travels through a pickle after publication.
 * **Fingerprint-keyed caches.**  Columnised workloads are cached by a
-  content digest (cross-instance: two equal workloads share one entry),
-  and per-classifier cancer-class labels are cached alongside, so
-  repeated evaluations skip columnisation and classification entirely.
+  content digest (two equal workloads share one entry), with their
+  per-classifier cancer-class codes alongside.
 * **Adaptive chunk planning.**  :func:`plan_chunk_size` sizes chunks
-  from the case count, worker count, and a bytes-per-chunk budget
-  instead of the fixed :data:`~repro.engine.executor.DEFAULT_CHUNK_SIZE`.
+  from the case count, worker count, and a bytes-per-chunk budget.
 
-The determinism contract is unchanged: seeded results depend only on
-``(seed, chunk_size)`` — never on worker count, pool reuse, shared
-memory, or scheduling — because chunk generators are derived exactly as
-the per-call executor derives them and job grouping only changes *where*
-a chunk runs, not its generator.  Unseeded evaluations run serially
-in-process and stay bit-identical to the scalar loop.
-
-When shared memory is unavailable (e.g. a restricted ``/dev/shm``) the
-runtime falls back transparently to pickling the arrays once per task
-group; when the system or mapped function cannot be pickled at all, it
-falls back to in-process execution.  Results are identical on every
-path.
+Placement never changes a result: every chunk's generator derives from
+its item's seed wherever it runs, so seeded results depend only on
+``(seed, chunk_size)``, and unseeded items run in-process on the
+caller's objects, bit-identical to the scalar loop.  Without shared
+memory pooled tasks carry pickled arrays; with unpicklable systems or a
+broken pool the work runs in-process — same results on every path.
 """
 
 from __future__ import annotations
 
 import hashlib
-import os
 import pickle
-import time
 import warnings
 import weakref
 from collections import OrderedDict
@@ -58,18 +47,22 @@ import numpy as np
 from ..core.case_class import CaseClass
 from ..exceptions import RuntimeDegradationWarning, SimulationError
 from ..obs import Instrumentation, SpanPayload, get_instrumentation
-from ..reader.state import ReaderStateVector
 from ..screening.classifier import CaseClassifier, SingleClassClassifier
 from ..screening.workload import Workload
 from ..system.simulate import SystemEvaluation, evaluate_system
 from ..system.single import ScreeningSystem
 from .arrays import ARRAY_FIELDS, CaseArrays
-from .executor import (
-    DEFAULT_CHUNK_SIZE,
-    _chunk_rngs,
-    _tally_chunks,
-    cancer_class_labels,
+from .executor import DEFAULT_CHUNK_SIZE
+from .fused import (
+    FusedRow,
+    FusedTask,
+    _merge_rows,
+    _run_task,
+    _SegmentSpec,
+    build_fused_item,
+    cancer_classes,
     plan_chunks,
+    row_evaluation,
     supports_batch,
     supports_stream,
 )
@@ -157,20 +150,6 @@ def shared_memory_available() -> bool:
     return _SHM_AVAILABLE
 
 
-@dataclass(frozen=True)
-class _SegmentSpec:
-    """Recipe for rebuilding a :class:`CaseArrays` from a shared segment.
-
-    This — not the arrays — is what travels to workers: the segment
-    name, the case count, and per column its dtype string and byte
-    offset into the segment.  All offsets are 8-byte aligned.
-    """
-
-    name: str
-    num_cases: int
-    fields: tuple[tuple[str, str, int], ...]
-
-
 def _aligned(nbytes: int) -> int:
     """Round a byte count up to 8-byte alignment."""
     return -(-nbytes // 8) * 8
@@ -205,240 +184,16 @@ def _publish_arrays(
     return segment, spec
 
 
-def _arrays_from_segment(
-    segment: shared_memory.SharedMemory, spec: _SegmentSpec
-) -> CaseArrays:
-    """Zero-copy :class:`CaseArrays` view over an attached segment."""
-    columns: dict[str, np.ndarray] = {}
-    for name, dtype_str, offset in spec.fields:
-        column: np.ndarray = np.ndarray(
-            (spec.num_cases,),
-            dtype=np.dtype(dtype_str),
-            buffer=segment.buf,
-            offset=offset,
-        )
-        column.flags.writeable = False  # the plane is read-only by contract
-        columns[name] = column
-    return CaseArrays(**columns)
-
-
-def _attach_segment(name: str) -> shared_memory.SharedMemory:
-    """Attach to an existing segment without taking tracker ownership.
-
-    On Python >= 3.13 ``track=False`` keeps the attach out of the
-    resource tracker entirely.  Before that, attaching re-registers the
-    name — harmless for pool workers, which inherit the parent's tracker
-    (the registration set is idempotent and the parent's ``unlink`` is
-    the single point of removal), so no unregister dance is needed.
-    """
-    try:
-        return shared_memory.SharedMemory(name=name, track=False)  # type: ignore[call-arg]
-    except TypeError:  # pragma: no cover - depends on Python version
-        return shared_memory.SharedMemory(name=name)
-
-
-#: Worker-side cache of attached segments, keyed by segment name.  Lives
-#: for the worker process's lifetime (i.e. the pool's), so successive
-#: task groups over one workload attach exactly once.
-_WORKER_SEGMENTS: OrderedDict[str, tuple[shared_memory.SharedMemory, CaseArrays]]
-_WORKER_SEGMENTS = OrderedDict()
-_WORKER_CACHE_MAX = 8
-
-
-def _attached_arrays(spec: _SegmentSpec) -> CaseArrays:
-    """The (cached) zero-copy view for a segment spec, worker side."""
-    cached = _WORKER_SEGMENTS.get(spec.name)
-    if cached is not None:
-        _WORKER_SEGMENTS.move_to_end(spec.name)
-        return cached[1]
-    segment = _attach_segment(spec.name)
-    arrays = _arrays_from_segment(segment, spec)
-    _WORKER_SEGMENTS[spec.name] = (segment, arrays)
-    while len(_WORKER_SEGMENTS) > _WORKER_CACHE_MAX:
-        _, (old_segment, old_arrays) = _WORKER_SEGMENTS.popitem(last=False)
-        del old_arrays  # drop the views so the mapping can be released
-        try:
-            old_segment.close()
-        except BufferError:  # pragma: no cover - a view escaped; skip close
-            pass
-    return arrays
-
-
-#: One unit of work: decide cases ``[start, stop)`` with this generator.
-_Job = tuple[int, int, "np.random.Generator | None"]
-
-
-def _decide_job(
-    system: ScreeningSystem, arrays: CaseArrays, job: _Job
-) -> np.ndarray:
-    """Decide one chunk job.  The single decision kernel every execution
-    path — serial, pooled, traced or not — runs, which is what makes the
-    bit-identity guarantee structural rather than incidental."""
-    start, stop, rng = job
-    chunk = arrays.chunk(start, stop)
-    decisions = system.decide_batch(chunk, rng=rng)
-    return np.asarray(decisions.failures(chunk.has_cancer))
-
-
-def _decide_jobs(
-    system: ScreeningSystem, arrays: CaseArrays, jobs: Sequence[_Job]
-) -> list[np.ndarray]:
-    """Run a group of chunk jobs over in-memory arrays, in order."""
-    return [_decide_job(system, arrays, job) for job in jobs]
-
-
-def _decide_jobs_shared(
-    system: ScreeningSystem, spec: _SegmentSpec, jobs: Sequence[_Job]
-) -> list[np.ndarray]:
-    """Worker entry point: attach the shared plane, then run the jobs."""
-    return _decide_jobs(system, _attached_arrays(spec), jobs)
-
-
-def _decide_jobs_traced(
-    system: ScreeningSystem, arrays: CaseArrays, jobs: Sequence[_Job]
-) -> tuple[list[np.ndarray], list[SpanPayload]]:
-    """Traced twin of :func:`_decide_jobs`: same kernel, plus one
-    ``runtime.chunk`` span payload per job for the parent to ingest.
-
-    Timing wraps the kernel call — it never reaches inside it and never
-    touches the job's generator, so results are those of
-    :func:`_decide_jobs` by construction.
-    """
-    pid = os.getpid()
-    results: list[np.ndarray] = []
-    payload: list[SpanPayload] = []
-    for job in jobs:
-        began = time.perf_counter()
-        results.append(_decide_job(system, arrays, job))
-        payload.append(
-            (
-                "runtime.chunk",
-                {"start": job[0], "stop": job[1]},
-                time.perf_counter() - began,
-                pid,
-            )
-        )
-    return results, payload
-
-
-def _decide_jobs_shared_traced(
-    system: ScreeningSystem, spec: _SegmentSpec, jobs: Sequence[_Job]
-) -> tuple[list[np.ndarray], list[SpanPayload]]:
-    """Traced twin of :func:`_decide_jobs_shared`.
-
-    Also reports a ``runtime.attach`` span (with the segment's byte
-    size) the first time this worker process attaches the segment, so
-    the parent can count shm bytes attached across the pool.
-    """
-    fresh = spec.name not in _WORKER_SEGMENTS
-    began = time.perf_counter()
-    arrays = _attached_arrays(spec)
-    payload: list[SpanPayload] = []
-    if fresh:
-        segment_bytes = _WORKER_SEGMENTS[spec.name][0].size
-        payload.append(
-            (
-                "runtime.attach",
-                {"segment": spec.name, "bytes": segment_bytes},
-                time.perf_counter() - began,
-                os.getpid(),
-            )
-        )
-    results, chunk_payload = _decide_jobs_traced(system, arrays, jobs)
-    payload.extend(chunk_payload)
-    return results, payload
-
-
-def _advance_stream(
-    system: ScreeningSystem,
-    arrays: CaseArrays,
-    jobs: Sequence[_Job],
-    state: ReaderStateVector,
-) -> tuple[list[np.ndarray], ReaderStateVector]:
-    """Advance a reader stream over chunk jobs, in order.
-
-    The stream analogue of :func:`_decide_jobs`: each chunk's carried
-    state feeds the next, so the jobs of one stream can never be split
-    across workers — a whole stream travels as a single task.  Returns
-    the per-chunk failure flags and the final carried state.
-    """
-    failures: list[np.ndarray] = []
-    for start, stop, rng in jobs:
-        chunk = arrays.chunk(start, stop)
-        decisions, state = system.advance_stream(chunk, state, rng=rng)
-        failures.append(np.asarray(decisions.failures(chunk.has_cancer)))
-    return failures, state
-
-
-def _advance_stream_shared(
-    system: ScreeningSystem, spec: _SegmentSpec, jobs: Sequence[_Job], state: ReaderStateVector
-) -> tuple[list[np.ndarray], ReaderStateVector]:
-    """Worker entry point: attach the shared plane, then advance the stream."""
-    return _advance_stream(system, _attached_arrays(spec), jobs, state)
-
-
-def _advance_stream_traced(
-    system: ScreeningSystem,
-    arrays: CaseArrays,
-    jobs: Sequence[_Job],
-    state: ReaderStateVector,
-) -> tuple[list[np.ndarray], ReaderStateVector, list[SpanPayload]]:
-    """Traced twin of :func:`_advance_stream`: same kernel, plus one
-    ``runtime.chunk`` span payload per job.  Timing wraps the kernel and
-    never touches the generators, so results match by construction."""
-    pid = os.getpid()
-    failures: list[np.ndarray] = []
-    payload: list[SpanPayload] = []
-    for start, stop, rng in jobs:
-        began = time.perf_counter()
-        chunk = arrays.chunk(start, stop)
-        decisions, state = system.advance_stream(chunk, state, rng=rng)
-        failures.append(np.asarray(decisions.failures(chunk.has_cancer)))
-        payload.append(
-            (
-                "runtime.chunk",
-                {"start": start, "stop": stop},
-                time.perf_counter() - began,
-                pid,
-            )
-        )
-    return failures, state, payload
-
-
-def _advance_stream_shared_traced(
-    system: ScreeningSystem, spec: _SegmentSpec, jobs: Sequence[_Job], state: ReaderStateVector
-) -> tuple[list[np.ndarray], ReaderStateVector, list[SpanPayload]]:
-    """Traced twin of :func:`_advance_stream_shared` (see
-    :func:`_decide_jobs_shared_traced` for the attach span)."""
-    fresh = spec.name not in _WORKER_SEGMENTS
-    began = time.perf_counter()
-    arrays = _attached_arrays(spec)
-    payload: list[SpanPayload] = []
-    if fresh:
-        segment_bytes = _WORKER_SEGMENTS[spec.name][0].size
-        payload.append(
-            (
-                "runtime.attach",
-                {"segment": spec.name, "bytes": segment_bytes},
-                time.perf_counter() - began,
-                os.getpid(),
-            )
-        )
-    failures, state, chunk_payload = _advance_stream_traced(system, arrays, jobs, state)
-    payload.extend(chunk_payload)
-    return failures, state, payload
-
-
-def _group_jobs(jobs: Sequence[_Job], n_groups: int) -> list[list[_Job]]:
+def _group_jobs(jobs: Sequence[_T], n_groups: int) -> list[list[_T]]:
     """Split jobs into at most ``n_groups`` contiguous, near-equal groups.
 
-    Grouping is a scheduling decision only: every job keeps its own
-    generator, so the per-chunk results are identical however the jobs
+    Grouping is a scheduling decision only: every chunk keeps its own
+    generator, so the per-chunk results are identical however the chunks
     are grouped.
     """
     n_groups = max(1, min(n_groups, len(jobs)))
     base, extra = divmod(len(jobs), n_groups)
-    groups: list[list[_Job]] = []
+    groups: list[list[_T]] = []
     index = 0
     for g in range(n_groups):
         size = base + (1 if g < extra else 0)
@@ -466,10 +221,11 @@ class _CachedWorkload:
     segment: shared_memory.SharedMemory | None = None
     spec: _SegmentSpec | None = None
     #: Per-classifier label cache: ``id(classifier)`` -> (classifier —
-    #: a strong reference keeping the id stable — positions, labels).
-    labels: dict[int, tuple[CaseClassifier, np.ndarray, list[CaseClass]]] = field(
-        default_factory=dict
-    )
+    #: a strong reference keeping the id stable — and its
+    #: :func:`~repro.engine.fused.cancer_classes` positions, codes, classes).
+    labels: dict[
+        int, tuple[CaseClassifier, np.ndarray, np.ndarray, tuple[CaseClass, ...]]
+    ] = field(default_factory=dict)
 
 
 def _release_segment(entry: _CachedWorkload) -> None:
@@ -508,10 +264,10 @@ class EngineRuntime:
 
     Everything expensive is created once and reused: the process pool,
     the shared-memory publication of each workload, the columnisation,
-    and the per-classifier cancer-class labels.  All results are
-    identical to the per-call executor's — same chunking, same chunk
-    generators, same tallies — so the runtime is a pure performance
-    substrate.
+    and the per-classifier cancer-class codes.  Every evaluation runs the
+    one fused kernel, in-process or pooled, so results are identical to
+    a serial :func:`~repro.engine.executor.evaluate_system_batch` — the
+    runtime is a pure performance substrate.
 
     Args:
         workers: Worker processes for seeded parallel execution.  ``1``
@@ -665,16 +421,12 @@ class EngineRuntime:
     def publish_workload(
         self, workload: Workload
     ) -> tuple[CaseArrays, _SegmentSpec | None]:
-        """Columnise, cache, and (if parallel) publish one workload.
+        """Columnise, cache, and (if parallel) publish one workload now.
 
-        The sweep runner's entry into the runtime's workload plane:
-        returns the cached :class:`CaseArrays` plus, on a parallel
+        Returns the cached :class:`CaseArrays` plus, on a parallel
         shared-memory runtime, the :class:`_SegmentSpec` pooled tasks
-        attach with (``None`` on serial/no-shm runtimes — callers then
-        ship the arrays themselves).  Repeated calls for equal workloads
-        hit the fingerprint-keyed cache, so each distinct workload pays
-        columnisation and publication once per runtime, however many
-        callers share it.
+        attach with (``None`` on serial/no-shm runtimes).  Dispatch
+        publishes on demand, so this only moves that cost up front.
         """
         if self._closed:
             raise SimulationError("cannot publish on a closed EngineRuntime")
@@ -697,24 +449,17 @@ class EngineRuntime:
         """Evaluate one system; the runtime analogue of
         :func:`~repro.engine.executor.evaluate_system_batch`.
 
-        Unseeded calls run serially in-process (bit-identical to the
-        scalar loop); seeded calls fan out over the persistent pool when
-        it helps.  ``chunk_size=None`` plans adaptively via
-        :func:`plan_chunk_size` — pass an explicit size for results
-        independent of this runtime's worker count.
-
-        Stateful-but-vectorizable systems (temporal reader wrappers
-        exposing the stream-carry protocol) advance chunk by chunk in
-        order; seeded parallel calls move the whole ordered stream to
-        one pooled worker reading from the shared plane, and the final
-        reader state is committed back into the caller's system either
-        way.  Systems supporting neither batch nor stream execution
-        degrade to the scalar loop (``runtime.degraded.scalar_system``).
+        The system becomes a one-item task for :meth:`run_fused` with
+        ``split=True``; a temporal reader's final state is committed back
+        into the caller's system.  ``chunk_size=None`` plans adaptively
+        via :func:`plan_chunk_size` — pass an explicit size for results
+        independent of this runtime's worker count.  Systems supporting
+        neither batch nor stream execution degrade to the scalar loop
+        (``runtime.degraded.scalar_system``).
         """
         if self._closed:
             raise SimulationError("cannot evaluate on a closed EngineRuntime")
-        stream = not supports_batch(system)
-        if stream and not supports_stream(system):
+        if not supports_batch(system) and not supports_stream(system):
             self._note_degradation(
                 "scalar_system",
                 f"system {system.name!r} supports neither batch nor stream "
@@ -723,9 +468,7 @@ class EngineRuntime:
             return evaluate_system(system, workload, classifier, level, seed=seed)
         if len(workload) == 0:
             raise SimulationError("cannot evaluate a system on an empty workload")
-        classifier = (
-            classifier if classifier is not None else SingleClassClassifier()
-        )
+        classifier = classifier if classifier is not None else SingleClassClassifier()
         with self._obs.span(
             "runtime.evaluate", system=system.name, cases=len(workload)
         ) as span:
@@ -735,23 +478,16 @@ class EngineRuntime:
                 chunk_size = plan_chunk_size(
                     len(arrays), self._workers, bytes_per_case=arrays.bytes_per_case
                 )
-            chunks = plan_chunks(len(arrays), chunk_size)
-            span.set(chunks=len(chunks), chunk_size=chunk_size)
-            rngs = _chunk_rngs(seed, len(chunks))
-            jobs: list[_Job] = [
-                (start, stop, rng) for (start, stop), rng in zip(chunks, rngs)
-            ]
-            if stream:
+            n_chunks = len(plan_chunks(len(arrays), chunk_size))
+            span.set(chunks=n_chunks, chunk_size=chunk_size)
+            item = build_fused_item(0, system, seed)
+            if item[3]:
                 span.set(stream=True)
-                chunk_failures = self._run_stream_jobs(system, entry, jobs, seed)
-            else:
-                chunk_failures = self._run_jobs(system, entry, jobs, seed)
-            positions, labels = self._cancer_labels(entry, workload, classifier)
-            with self._obs.span("runtime.tally", chunks=len(chunks)):
-                tally = _tally_chunks(
-                    arrays, chunks, chunk_failures, positions, labels
-                )
-                return tally.to_evaluation(system.name, workload.name, level)
+            positions, codes, classes = self._cancer_classes(entry, workload, classifier)
+            task = (arrays, chunk_size, positions, codes, len(classes), (item,))
+            ((row,),) = self.run_fused([task], split=True)
+            with self._obs.span("runtime.tally", chunks=n_chunks):
+                return row_evaluation(system, row, classes, workload.name, level)
 
     def compare(
         self,
@@ -765,27 +501,63 @@ class EngineRuntime:
     ) -> dict[str, SystemEvaluation]:
         """Evaluate several systems over one workload, sharing everything.
 
-        The pool, the published workload, and the label cache are shared
-        across all systems — this is the call
-        :func:`~repro.engine.executor.compare_systems_batch` delegates
-        to, and the common-random-numbers property holds exactly as
-        there (every system's chunk generators derive from the same
-        seed).
+        The pool, the published workload, and the class-code cache serve
+        every system; each system's chunk generators derive from the
+        same seed (common random numbers), exactly as
+        :func:`~repro.engine.executor.compare_systems_batch`.
         """
         names = [system.name for system in systems]
         if len(set(names)) != len(names):
             raise SimulationError(f"system names must be unique, got {names!r}")
         return {
             system.name: self.evaluate(
-                system,
-                workload,
-                classifier,
-                level,
-                seed=seed,
-                chunk_size=chunk_size,
+                system, workload, classifier, level, seed=seed, chunk_size=chunk_size
             )
             for system in systems
         }
+
+    def run_fused(
+        self, tasks: Sequence[FusedTask], *, split: bool = False
+    ) -> list[list[FusedRow]]:
+        """Run fused tasks through the engine's one kernel; rows per task.
+
+        The dispatch every evaluation takes.  Tasks run in-process on a
+        serial runtime, when any item is unseeded (private generators
+        stay on the caller's objects), or when the items cannot be
+        pickled (``runtime.degraded.unpicklable_system``); otherwise each
+        task is one pool submission carrying the workload's shared
+        segment.  With ``split`` (how :meth:`evaluate` dispatches) a
+        single-chunk task stays in-process, and stateless items spread
+        their chunks over at most ``workers`` contiguous ranges whose
+        rows are summed back.  A broken pool is discarded and the tasks
+        recompute in-process (``runtime.degraded.broken_pool``).  Traced
+        spans from workers are folded into this runtime's
+        instrumentation.  Rows are identical on every path.
+        """
+        if self._closed:
+            raise SimulationError("cannot dispatch on a closed EngineRuntime")
+        traced = self._obs.enabled
+        pool = self._pool_for(tasks, split)
+        if pool is not None:
+            try:
+                pending = [
+                    [pool.submit(_run_task, part, traced) for part in self._parts(task, split)]
+                    for task in tasks
+                ]
+                outputs = [[future.result() for future in parts] for parts in pending]
+            except BrokenProcessPool:
+                self._discard_pool()
+                self._note_degradation(
+                    "broken_pool",
+                    "the worker pool broke mid-dispatch; recomputing in-process "
+                    "(results are unaffected)",
+                )
+            else:
+                return [
+                    _merge_rows([self._ingested(output) for output in parts])
+                    for parts in outputs
+                ]
+        return [self._ingested(_run_task(task, traced)) for task in tasks]
 
     def map(self, fn: Callable[[_T], _R], items: Iterable[_T]) -> list[_R]:
         """Apply a picklable function over items on the persistent pool.
@@ -846,14 +618,61 @@ class EngineRuntime:
                 stacklevel=3,
             )
 
-    def _ingest_worker_payload(self, payload: list[SpanPayload]) -> None:
-        """Fold a traced worker's spans into this runtime's instrumentation."""
-        self._obs.ingest_spans(payload)
+    def _ingested(
+        self, output: tuple[list[FusedRow], list[SpanPayload]]
+    ) -> list[FusedRow]:
+        """A kernel run's rows, its traced spans folded into this runtime."""
+        rows, payload = output
+        if payload:
+            self._obs.ingest_spans(payload)
         for name, attrs, duration, _ in payload:
             if name == "runtime.chunk":
                 self._obs.observe("runtime.chunk.wall_s", duration)
             elif name == "runtime.attach":
                 self._obs.count("runtime.shm.bytes_attached", float(attrs["bytes"]))  # type: ignore[arg-type]
+        return rows
+
+    def _pool_for(
+        self, tasks: Sequence[FusedTask], split: bool
+    ) -> ProcessPoolExecutor | None:
+        """The pool a dispatch runs on, or ``None`` to run it in-process."""
+        if self._workers <= 1 or not tasks:
+            return None
+        if any(item[2] is None for task in tasks for item in task[5]):
+            return None
+        if split and all(len(task[0]) <= task[1] for task in tasks):
+            return None
+        try:
+            pickle.dumps(tasks[0][5])
+        except Exception:
+            names = ", ".join(repr(item[1].name) for item in tasks[0][5])
+            self._note_degradation(
+                "unpicklable_system",
+                f"system {names} (or its stream state) cannot be pickled; "
+                "evaluating in-process instead of on the worker pool",
+            )
+            return None
+        return self._ensure_pool()
+
+    def _parts(self, task: FusedTask, split: bool) -> list[FusedTask]:
+        """A task's pool submissions: itself over the shared plane, or with
+        ``split`` one per stateless chunk range and per stream item."""
+        plane, chunk_size, positions, codes, n_classes, items = task
+        if isinstance(plane, CaseArrays):
+            plane = self._shared_plane(plane)
+        if not split:
+            return [(plane, chunk_size, positions, codes, n_classes, items)]
+        chunks = range(len(plan_chunks(len(plane), chunk_size)))
+        whole: list[tuple[int, int] | None] = [None]
+        ranges: list[tuple[int, int] | None] = [
+            (group[0], group[-1] + 1) for group in _group_jobs(chunks, self._workers)
+        ]
+        parts: list[FusedTask] = []
+        for index, system, seed, stream, _ in items:
+            for span in whole if stream else ranges:
+                item = (index, system, seed, stream, span)
+                parts.append((plane, chunk_size, positions, codes, n_classes, (item,)))
+        return parts
 
     def _ensure_pool(self) -> ProcessPoolExecutor | None:
         """The persistent pool, created on first parallel need (or None)."""
@@ -875,7 +694,10 @@ class EngineRuntime:
 
     def _workload_entry(self, workload: Workload) -> _CachedWorkload:
         """The cache entry for a workload, columnising/digesting at most once."""
-        arrays = workload.to_arrays()
+        return self._entry(workload.to_arrays())
+
+    def _entry(self, arrays: CaseArrays) -> _CachedWorkload:
+        """The cache entry for a batch, digesting each arrays object once."""
         memo = self._digest_memo.get(id(arrays))
         if memo is not None and memo[0] is arrays:
             digest = memo[1]
@@ -902,13 +724,26 @@ class EngineRuntime:
             }
         return entry
 
-    def _cancer_labels(
+    def _shared_plane(self, arrays: CaseArrays) -> "_SegmentSpec | CaseArrays":
+        """What a pooled task over ``arrays`` carries: the workload's shared
+        segment (published now if it is not live), else the arrays."""
+        if not self._use_shm:
+            return arrays
+        memo = self._digest_memo.get(id(arrays))
+        entry = None
+        if memo is not None and memo[0] is arrays:
+            entry = self._cache.get(memo[1])
+        spec = self._publish(entry if entry is not None else self._entry(arrays))
+        return spec if spec is not None else arrays
+
+    def _cancer_classes(
         self,
         entry: _CachedWorkload,
         workload: Workload,
         classifier: CaseClassifier,
-    ) -> tuple[np.ndarray, list[CaseClass]]:
-        """Cached cancer positions/labels for (workload, classifier).
+    ) -> tuple[np.ndarray, np.ndarray, tuple[CaseClass, ...]]:
+        """Cached :func:`~repro.engine.fused.cancer_classes` for
+        (workload, classifier).
 
         Keyed by classifier identity (classifiers are deterministic by
         protocol, but only *this object's* determinism is known — two
@@ -918,9 +753,9 @@ class EngineRuntime:
         cached = entry.labels.get(id(classifier))
         if cached is not None and cached[0] is classifier:
             self._obs.count("runtime.label_cache.hit")
-            return cached[1], cached[2]
+            return cached[1:]
         self._obs.count("runtime.label_cache.miss")
-        positions, labels = cancer_class_labels(
+        classified = cancer_classes(
             workload,
             classifier,
             entry.arrays,
@@ -931,8 +766,8 @@ class EngineRuntime:
                 "(labels are identical, classification is slower)",
             ),
         )
-        entry.labels[id(classifier)] = (classifier, positions, labels)
-        return positions, labels
+        entry.labels[id(classifier)] = (classifier, *classified)
+        return classified
 
     def _publish(self, entry: _CachedWorkload) -> _SegmentSpec | None:
         """Publish an entry's arrays to shared memory (once; may fall back)."""
@@ -976,174 +811,3 @@ class EngineRuntime:
             self._obs.count("runtime.shm.evicted")
             if self.shm_bytes_live <= self._shm_byte_budget:
                 break
-
-    def _run_jobs(
-        self,
-        system: ScreeningSystem,
-        entry: _CachedWorkload,
-        jobs: list[_Job],
-        seed: int | None,
-    ) -> list[np.ndarray]:
-        """Run chunk jobs in order, parallel when it can help.
-
-        Serial conditions: one worker, no seed (private component
-        generators cannot cross processes — matches the executor's
-        contract), a single job, or an unpicklable system.  The serial
-        path is the same code the executor runs in-process, so results
-        never depend on which path was taken.
-        """
-        parallel = self._workers > 1 and seed is not None and len(jobs) > 1
-        if parallel:
-            try:
-                pickle.dumps(system)
-            except Exception:
-                parallel = False
-                self._note_degradation(
-                    "unpicklable_system",
-                    f"system {system.name!r} cannot be pickled; evaluating "
-                    "in-process instead of on the worker pool",
-                )
-        pool = self._ensure_pool() if parallel else None
-        if pool is None:
-            return self._run_jobs_serial(system, entry.arrays, jobs)
-        groups = _group_jobs(jobs, self._workers)
-        spec = self._publish(entry)
-        traced = self._obs.enabled
-        try:
-            if spec is not None:
-                shared_fn = (
-                    _decide_jobs_shared_traced if traced else _decide_jobs_shared
-                )
-                futures = [
-                    pool.submit(shared_fn, system, spec, group)
-                    for group in groups
-                ]
-            else:
-                plain_fn = _decide_jobs_traced if traced else _decide_jobs
-                futures = [
-                    pool.submit(plain_fn, system, entry.arrays, group)
-                    for group in groups
-                ]
-            outputs = [future.result() for future in futures]
-        except BrokenProcessPool:
-            self._discard_pool()
-            self._note_degradation(
-                "broken_pool",
-                "the worker pool broke mid-evaluation; recomputing the "
-                "chunks in-process (results are unaffected)",
-            )
-            return self._run_jobs_serial(system, entry.arrays, jobs)
-        if traced:
-            grouped = []
-            for results, payload in outputs:
-                self._ingest_worker_payload(payload)
-                grouped.append(results)
-        else:
-            grouped = outputs
-        return [failed for group in grouped for failed in group]
-
-    def _run_jobs_serial(
-        self,
-        system: ScreeningSystem,
-        arrays: CaseArrays,
-        jobs: list[_Job],
-    ) -> list[np.ndarray]:
-        """The in-process job loop, traced only when somebody is watching."""
-        if not self._obs.enabled:
-            return _decide_jobs(system, arrays, jobs)
-        results, payload = _decide_jobs_traced(system, arrays, jobs)
-        self._ingest_worker_payload(payload)
-        return results
-
-    def _run_stream_jobs(
-        self,
-        system: ScreeningSystem,
-        entry: _CachedWorkload,
-        jobs: list[_Job],
-        seed: int | None,
-    ) -> list[np.ndarray]:
-        """Run an ordered reader stream over chunk jobs.
-
-        The stream is inherently sequential — every chunk's carried
-        state feeds the next — so "parallel" here means moving the
-        *whole* stream as one task to a pooled worker (which reads the
-        chunks from the shared plane), keeping the parent process free.
-        Serial conditions mirror :meth:`_run_jobs`; whichever path runs,
-        the chunks advance from the same initial state in the same
-        order, and the final carried state is committed back into the
-        caller's system.  (Other worker-copy state — e.g. a tool's
-        processed-case counters — stays in the worker, exactly as on
-        the pooled batch path.)
-        """
-        initial = system.stream_state()
-        parallel = self._workers > 1 and seed is not None and len(jobs) > 1
-        if parallel:
-            try:
-                pickle.dumps((system, initial))
-            except Exception:
-                parallel = False
-                self._note_degradation(
-                    "unpicklable_system",
-                    f"system {system.name!r} (or its stream state) cannot be "
-                    "pickled; advancing the stream in-process instead of on "
-                    "the worker pool",
-                )
-        pool = self._ensure_pool() if parallel else None
-        if pool is None:
-            return self._run_stream_serial(system, entry.arrays, jobs, initial)
-        spec = self._publish(entry)
-        traced = self._obs.enabled
-        try:
-            if spec is not None:
-                shared_fn = (
-                    _advance_stream_shared_traced if traced else _advance_stream_shared
-                )
-                future = pool.submit(shared_fn, system, spec, jobs, initial)
-            else:
-                plain_fn = _advance_stream_traced if traced else _advance_stream
-                future = pool.submit(plain_fn, system, entry.arrays, jobs, initial)
-            output = future.result()
-        except BrokenProcessPool:
-            self._discard_pool()
-            self._note_degradation(
-                "broken_pool",
-                "the worker pool broke mid-stream; recomputing the chunks "
-                "in-process from the same initial state (results are "
-                "unaffected)",
-            )
-            return self._run_stream_serial(system, entry.arrays, jobs, initial)
-        if traced:
-            failures, final_state, payload = output
-            self._ingest_worker_payload(payload)
-        else:
-            failures, final_state = output
-        system.commit_stream(final_state)
-        return failures
-
-    def _run_stream_serial(
-        self,
-        system: ScreeningSystem,
-        arrays: CaseArrays,
-        jobs: list[_Job],
-        state: ReaderStateVector,
-    ) -> list[np.ndarray]:
-        """The in-process stream loop; commits the final state back."""
-        if not self._obs.enabled:
-            failures, final_state = _advance_stream(system, arrays, jobs, state)
-        else:
-            failures, final_state, payload = _advance_stream_traced(
-                system, arrays, jobs, state
-            )
-            self._ingest_worker_payload(payload)
-        system.commit_stream(final_state)
-        return failures
-
-
-def _noop(value: _T) -> _T:  # pragma: no cover - trivial
-    """Identity; handy for warming a runtime's pool in benchmarks."""
-    return value
-
-
-def warm(runtime: EngineRuntime) -> None:
-    """Force pool creation now so first-call latency is off the clock."""
-    runtime.map(_noop, [0])

@@ -13,14 +13,15 @@ Architecture::
                                            ▼
                                    FusedCounts per request
 
-Every engine interaction — workload build, publication, fused dispatch —
-runs on one dedicated thread (``EngineRuntime`` is not thread-safe), fed
-by the event loop through the micro-batcher.  Requests sharing a
-workload fingerprint fuse into one dispatch; each carries its own seed,
-and :func:`repro.engine.fused.run_fused_batch` derives per-item chunk
-generators from ``(seed, chunk_size)`` alone, so a coalesced response is
-bit-identical to the same request evaluated standalone (pinned by
-``tests/service/test_coalescing.py``).
+Every engine interaction — workload build, fused dispatch — runs on one
+dedicated thread (``EngineRuntime`` is not thread-safe), fed by the
+event loop through the micro-batcher.  Requests sharing a workload
+fingerprint fuse into one task dispatched through
+:meth:`EngineRuntime.run_fused <repro.engine.runtime.EngineRuntime.run_fused>`;
+each item carries its own seed, and the engine's one kernel derives
+per-item chunk generators from ``(seed, chunk_size)`` alone, so a
+coalesced response is bit-identical to the same request evaluated
+standalone (pinned by ``tests/service/test_coalescing.py``).
 
 Admission control is layered in front: per-tenant token buckets
 (:class:`~repro.service.quotas.QuotaManager` → HTTP 429) and a global
@@ -59,7 +60,7 @@ from ..core import (
     paper_example_parameters,
 )
 from ..engine.executor import DEFAULT_CHUNK_SIZE
-from ..engine.fused import FusedCounts, build_fused_item, run_fused_batch
+from ..engine.fused import FusedCounts, build_fused_item
 from ..engine.runtime import EngineRuntime
 from ..exceptions import EstimationError, SimulationError
 from ..obs import (
@@ -464,24 +465,19 @@ class ScreeningService:
         """One fused dispatch for one batch (engine thread only)."""
         with self._obs.span("service.dispatch", items=len(items)):
             cached = self._cache.get(items[0][0])
-            # Republish every dispatch: a fingerprint-memo hit when the
-            # segment is resident, a fresh publication if the runtime's
-            # shm LRU evicted it meanwhile — never a stale segment name.
-            arrays, segment = self._runtime.publish_workload(cached.workload)
-            plane: Any = segment if segment is not None else arrays
             fused = tuple(
                 build_fused_item(index, system.build(seed), seed)
                 for index, (_, system, seed) in enumerate(items)
             )
             task = (
-                plane,
+                cached.arrays,
                 self._config.chunk_size,
                 cached.positions,
                 cached.codes,
                 len(cached.class_names),
                 fused,
             )
-            rows = self._runtime.map(run_fused_batch, [task])[0]
+            (rows,) = self._runtime.run_fused([task])
             by_index = {row[0]: row for row in rows}
             self._obs.count("service.dispatches")
             return [

@@ -10,10 +10,11 @@ The cache holds what is expensive to rebuild and stable per workload:
 the materialised :class:`~repro.screening.workload.Workload`, the
 columnised arrays, the cancer positions, and the per-class codes the
 fused tally needs.  Publication into the engine's shared-memory plane is
-deliberately *not* cached here — the dispatch path re-calls
-:meth:`EngineRuntime.publish_workload` each batch (a fingerprint-keyed
-memo hit when resident), so the runtime's ``shm_byte_budget`` LRU can
-evict segments freely without the service holding stale specs.
+deliberately *not* cached here — :meth:`EngineRuntime.run_fused
+<repro.engine.runtime.EngineRuntime.run_fused>` resolves the segment
+each pooled dispatch (a fingerprint-keyed memo hit when resident), so
+the runtime's ``shm_byte_budget`` LRU can evict segments freely without
+the service holding stale specs.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from ..screening.classifier import CaseClassifier, SingleClassClassifier
 from ..screening.workload import Workload
 from ..sweep.grid import WorkloadSpec
 from ..engine.arrays import CaseArrays
-from ..engine.fused import cancer_class_codes
+from ..engine.fused import cancer_classes
 
 __all__ = ["CachedWorkload", "WorkloadCache"]
 
@@ -87,17 +88,16 @@ class WorkloadCache:
         with self._obs.span("service.workload_build", key=key):
             workload = spec.build()
             arrays = workload.to_arrays()
-            positions = np.flatnonzero(arrays.has_cancer)
-            codes = cancer_class_codes(workload, self._classifier, arrays, positions)
+            positions, codes, classes = cancer_classes(
+                workload, self._classifier, arrays
+            )
             entry = CachedWorkload(
                 key=key,
                 workload=workload,
                 arrays=arrays,
                 positions=positions,
                 codes=codes,
-                class_names=tuple(
-                    case_class.name for case_class in self._classifier.classes
-                ),
+                class_names=tuple(case_class.name for case_class in classes),
             )
         self._entries[key] = entry
         while len(self._entries) > self._capacity:

@@ -1,25 +1,23 @@
 """The sweep runner: execute compiled plans fast, checkpointed, resumable.
 
 Execution walks the plan shard by shard.  Per distinct workload (not per
-cell) it materialises the cases, columnises them, classifies the cancer
-cases, and — on a parallel runtime — publishes the arrays to shared
-memory once, through the :class:`~repro.engine.runtime.EngineRuntime`
-fingerprint-keyed caches.  Cells sharing a workload then execute as
-fused dispatches: one task carries many ``(system, seed)`` pairs against
-one set of arrays, so the pool round-trip, the columnisation, and the
-classification amortise across the whole batch.
+cell) it materialises the cases, columnises them, and classifies the
+cancer cases once.  Cells sharing a workload then execute as fused
+tasks: one task carries many ``(system, seed)`` pairs against one set of
+arrays, so the pool round-trip, the columnisation, and the
+classification amortise across the whole batch.  With a runtime, a
+shard's tasks go through :meth:`EngineRuntime.run_fused
+<repro.engine.runtime.EngineRuntime.run_fused>` — one pool submission
+per task, each carrying the workload's shared-memory segment — and
+without one they run in-process.
 
 **Determinism contract.**  A cell's failure counts depend only on its
-recorded ``(seed, chunk_size)``: fused dispatches execute through the
-shared :mod:`repro.engine.fused` kernel
-(:func:`~repro.engine.fused.run_fused_batch` — the same kernel the
-always-on service's micro-batcher runs), whose chunk generators derive
-via the same ``SeedSequence`` scheme as
-:func:`~repro.engine.executor.evaluate_system_batch` and whose tally is
-an exact integer-count reformulation of
-:class:`~repro.system.simulate.FailureTally`.  Fused, sharded, serial,
-parallel, interrupted-and-resumed — all bit-identical to evaluating the
-cell standalone (:func:`reproduce_cell`).
+recorded ``(seed, chunk_size)``: every task runs the engine's one kernel
+(:mod:`repro.engine.fused`, the same kernel behind
+:func:`~repro.engine.executor.evaluate_system_batch` and the service's
+micro-batcher).  Fused, sharded, serial, parallel,
+interrupted-and-resumed — all bit-identical to evaluating the cell
+standalone (:func:`reproduce_cell`).
 
 **Checkpointing.**  With a journal path, a header records the plan
 fingerprint and every completed shard appends its cell results as JSONL
@@ -30,7 +28,6 @@ cells without recomputing them (counted under ``sweep.cells.skipped``).
 
 from __future__ import annotations
 
-import pickle
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Mapping, Sequence
@@ -43,16 +40,15 @@ from ..engine.fused import (
     FusedItem,
     FusedTask,
     build_fused_item,
-    cancer_class_codes,
+    cancer_classes,
     run_fused_batch,
 )
 from ..analysis.streaming import WelfordAccumulator
-from ..engine.runtime import EngineRuntime, _SegmentSpec
+from ..engine.runtime import EngineRuntime
 from ..engine.arrays import CaseArrays
 from ..exceptions import EstimationError, SimulationError
 from ..obs import Instrumentation, get_instrumentation
 from ..screening.classifier import CaseClassifier, SingleClassClassifier
-from ..screening.workload import Workload
 from ..system.simulate import SystemEvaluation
 from ..trial.storage import append_journal_entries, load_journal_entries
 from .grid import ScenarioGrid
@@ -429,9 +425,7 @@ class SweepResult:
 class _WorkloadContext:
     """One distinct workload's materialised run-state (built once)."""
 
-    workload: Workload
     arrays: CaseArrays
-    spec: _SegmentSpec | None
     positions: np.ndarray
     codes: np.ndarray
     class_names: tuple[str, ...]
@@ -720,7 +714,6 @@ def _workload_context(
     key: str,
     contexts: dict[str, _WorkloadContext],
     classifier: CaseClassifier,
-    runtime: EngineRuntime | None,
     obs: Instrumentation,
 ) -> _WorkloadContext:
     """The (cached) run-state for one distinct workload."""
@@ -730,21 +723,13 @@ def _workload_context(
         return context
     with obs.span("sweep.workload", key=key):
         workload = plan.workloads[key].build()
-        if runtime is not None:
-            arrays, spec = runtime.publish_workload(workload)
-        else:
-            arrays, spec = workload.to_arrays(), None
-        positions = np.flatnonzero(arrays.has_cancer)
-        codes = cancer_class_codes(workload, classifier, arrays, positions)
+        arrays = workload.to_arrays()
+        positions, codes, classes = cancer_classes(workload, classifier, arrays)
         context = _WorkloadContext(
-            workload=workload,
             arrays=arrays,
-            spec=spec,
             positions=positions,
             codes=codes,
-            class_names=tuple(
-                case_class.name for case_class in classifier.classes
-            ),
+            class_names=tuple(case_class.name for case_class in classes),
         )
     contexts[key] = context
     obs.count("sweep.workloads.built")
@@ -780,13 +765,12 @@ def _execute_shard(
         if not cells:
             continue
         context = _workload_context(
-            plan, batch.workload_key, contexts, classifier, runtime, obs
+            plan, batch.workload_key, contexts, classifier, obs
         )
         items = tuple(_build_cell_work(planned) for planned in cells)
-        plane: Any = context.spec if context.spec is not None else context.arrays
         tasks.append(
             (
-                plane,
+                context.arrays,
                 plan.chunk_size,
                 context.positions,
                 context.codes,
@@ -797,7 +781,7 @@ def _execute_shard(
         task_meta.append(cells)
         obs.count("sweep.dispatches")
     if runtime is not None:
-        outputs = runtime.map(run_fused_batch, tasks)
+        outputs = runtime.run_fused(tasks)
     else:
         outputs = [run_fused_batch(task) for task in tasks]
 
@@ -856,11 +840,3 @@ def reproduce_cell(
         chunk_size=plan.chunk_size,
     )
 
-
-def _picklable(value: object) -> bool:  # pragma: no cover - diagnostic helper
-    """Whether a value survives pickling (diagnostics for custom systems)."""
-    try:
-        pickle.dumps(value)
-    except Exception:
-        return False
-    return True
