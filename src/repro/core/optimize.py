@@ -76,11 +76,15 @@ class AllocationResult:
 def _apply_factors(
     model: SequentialModel, factors: Mapping[CaseClass, float]
 ) -> SequentialModel:
-    parameters = model.parameters
-    for case_class, factor in factors.items():
-        if factor > 1.0:
-            parameters = parameters.with_machine_improved(factor, [case_class])
-    return SequentialModel(parameters)
+    """The model with each class's ``PMf`` divided by its factor, in one
+    table rebuild (a rebuild per class made allocation quadratic)."""
+    return SequentialModel(
+        model.parameters.transform(
+            lambda case_class, params: params.with_machine_improved(factors[case_class])
+            if factors.get(case_class, 1.0) > 1.0
+            else params
+        )
+    )
 
 
 def optimal_improvement_allocation(

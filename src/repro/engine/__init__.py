@@ -32,7 +32,12 @@ from .posterior import (
     sample_parameter_table,
     scenario_win_probability,
 )
-from .runtime import EngineRuntime, plan_chunk_size, shared_memory_available
+from .runtime import (
+    EngineRuntime,
+    PreparedWorkload,
+    plan_chunk_size,
+    shared_memory_available,
+)
 
 __all__ = [
     "CaseArrays",
@@ -47,6 +52,7 @@ __all__ = [
     "evaluate_system_batch",
     "compare_systems_batch",
     "EngineRuntime",
+    "PreparedWorkload",
     "shared_memory_available",
     "PARAMETER_FIELDS",
     "ParameterTable",

@@ -15,9 +15,11 @@ task runs and amortises everything around it across calls:
   shared-memory segment; pooled tasks carry only a
   :class:`~repro.engine.fused._SegmentSpec` and workers attach views —
   no array travels through a pickle after publication.
-* **Fingerprint-keyed caches.**  Columnised workloads are cached by a
-  content digest (two equal workloads share one entry), with their
-  per-classifier cancer-class codes alongside.
+* **One workload residency.**  :meth:`EngineRuntime.prepare` is the
+  only place a workload becomes dispatch-ready (columnised, its cancer
+  cases coded by class); entries are keyed by content digest, so two
+  equal workloads share one, in an LRU of ``max_cached_workloads``.
+  ``evaluate``, the sweep runner and the service all build on it.
 * **Adaptive chunk planning.**  :func:`plan_chunk_size` sizes chunks
   from the case count, worker count, and a bytes-per-chunk budget.
 
@@ -54,6 +56,7 @@ from ..system.single import ScreeningSystem
 from .arrays import ARRAY_FIELDS, CaseArrays
 from .executor import DEFAULT_CHUNK_SIZE
 from .fused import (
+    FusedItem,
     FusedRow,
     FusedTask,
     _merge_rows,
@@ -69,6 +72,7 @@ from .fused import (
 
 __all__ = [
     "EngineRuntime",
+    "PreparedWorkload",
     "plan_chunk_size",
     "shared_memory_available",
     "TARGET_CHUNK_BYTES",
@@ -213,19 +217,52 @@ def _arrays_digest(arrays: CaseArrays) -> str:
     return digest.hexdigest()
 
 
+#: One shared default, so default-classified calls share a label-cache entry.
+_DEFAULT_CLASSIFIER = SingleClassClassifier()
+
+
+@dataclass(frozen=True, eq=False)
+class PreparedWorkload:
+    """A workload made dispatch-ready by :meth:`EngineRuntime.prepare`.
+
+    Attributes:
+        arrays: The resident columnised batch (shared by equal workloads).
+        positions: Sorted indices of the cancer cases.
+        codes: Class code of each cancer case, aligned with ``positions``.
+        classes: The classes the codes number, in the order they first
+            appear among the cancer cases.
+    """
+
+    arrays: CaseArrays
+    positions: np.ndarray
+    codes: np.ndarray
+    classes: tuple[CaseClass, ...]
+
+    @property
+    def class_names(self) -> tuple[str, ...]:
+        """Names of :attr:`classes`, in code order."""
+        return tuple(case_class.name for case_class in self.classes)
+
+    def task(self, chunk_size: int, items: tuple[FusedItem, ...]) -> FusedTask:
+        """The fused task running ``items`` over this workload."""
+        return (
+            self.arrays, chunk_size, self.positions, self.codes, len(self.classes), items
+        )
+
+
 @dataclass
 class _CachedWorkload:
     """One workload's runtime residency: arrays, segment, label caches."""
 
     arrays: CaseArrays
+    digest: str
     segment: shared_memory.SharedMemory | None = None
     spec: _SegmentSpec | None = None
     #: Per-classifier label cache: ``id(classifier)`` -> (classifier —
-    #: a strong reference keeping the id stable — and its
-    #: :func:`~repro.engine.fused.cancer_classes` positions, codes, classes).
-    labels: dict[
-        int, tuple[CaseClassifier, np.ndarray, np.ndarray, tuple[CaseClass, ...]]
-    ] = field(default_factory=dict)
+    #: a strong reference keeping the id stable — and its prepared form).
+    labels: dict[int, tuple[CaseClassifier, PreparedWorkload]] = field(
+        default_factory=dict
+    )
 
 
 def _release_segment(entry: _CachedWorkload) -> None:
@@ -263,8 +300,9 @@ class EngineRuntime:
                 evaluate_system_batch(system, workload, seed=7, runtime=runtime)
 
     Everything expensive is created once and reused: the process pool,
-    the shared-memory publication of each workload, the columnisation,
-    and the per-classifier cancer-class codes.  Every evaluation runs the
+    the shared-memory publication of each workload, and its prepared
+    form (:meth:`prepare`: columnisation plus per-classifier
+    cancer-class codes).  Every evaluation runs the
     one fused kernel, in-process or pooled, so results are identical to
     a serial :func:`~repro.engine.executor.evaluate_system_batch` — the
     runtime is a pure performance substrate.
@@ -276,7 +314,8 @@ class EngineRuntime:
             ``False`` always pickles arrays into tasks; ``True``
             requests shared memory but still falls back if a segment
             cannot be created.
-        max_cached_workloads: Distinct workloads kept resident (LRU).
+        max_cached_workloads: Distinct workloads kept resident (LRU);
+            nothing else the runtime holds grows with the workloads seen.
         shm_byte_budget: Soft cap on the total bytes of live shared
             segments.  When a fresh publication pushes the total over
             the budget, least-recently-used segments are unlinked (the
@@ -333,7 +372,6 @@ class EngineRuntime:
         self._pool_box: list[ProcessPoolExecutor | None] = [None]
         self._pool_launches = 0
         self._cache: OrderedDict[str, _CachedWorkload] = OrderedDict()
-        self._digest_memo: dict[int, tuple[CaseArrays, str]] = {}
         self._hits = 0
         self._misses = 0
         self._closed = False
@@ -354,7 +392,6 @@ class EngineRuntime:
     def close(self) -> None:
         """Shut the pool down and unlink every shared segment (idempotent)."""
         self._closed = True
-        self._digest_memo.clear()
         self._finalizer()
 
     # -- introspection (stable surface for tests and diagnostics) ------
@@ -416,21 +453,61 @@ class EngineRuntime:
             "segments": len(self.active_segments),
         }
 
-    # -- workload plane (shared with the sweep runner) -----------------
+    # -- workload residency --------------------------------------------
+
+    def prepare(
+        self, workload: Workload, classifier: CaseClassifier | None = None
+    ) -> PreparedWorkload:
+        """The workload made dispatch-ready — the one place that happens.
+
+        Finds the workload's resident entry by identity of its arrays
+        (``Workload.to_arrays`` is cached on the workload), else by
+        content digest, so equal workloads share one entry and its
+        arrays.  Cancer cases are coded by class once per classifier
+        object (kept alive in the entry so its id stays unique); ``None``
+        means one shared single-class classifier.  A classifier without a
+        usable ``classify_batch`` takes the per-case loop
+        (``runtime.degraded.scalar_classify``; codes are identical).
+        """
+        if self._closed:
+            raise SimulationError("cannot prepare on a closed EngineRuntime")
+        classifier = classifier if classifier is not None else _DEFAULT_CLASSIFIER
+        entry = self._entry(workload.to_arrays())
+        cached = entry.labels.get(id(classifier))
+        if cached is not None and cached[0] is classifier:
+            self._obs.count("runtime.label_cache.hit")
+            return cached[1]
+        self._obs.count("runtime.label_cache.miss")
+        prepared = PreparedWorkload(
+            entry.arrays,
+            *cancer_classes(
+                workload,
+                classifier,
+                entry.arrays,
+                on_scalar_fallback=lambda: self._note_degradation(
+                    "scalar_classify",
+                    f"classifier {type(classifier).__name__} has no usable "
+                    "classify_batch; cancer labels come from the per-case loop "
+                    "(labels are identical, classification is slower)",
+                ),
+            ),
+        )
+        entry.labels[id(classifier)] = (classifier, prepared)
+        return prepared
 
     def publish_workload(
         self, workload: Workload
     ) -> tuple[CaseArrays, _SegmentSpec | None]:
         """Columnise, cache, and (if parallel) publish one workload now.
 
-        Returns the cached :class:`CaseArrays` plus, on a parallel
+        Returns the resident :class:`CaseArrays` plus, on a parallel
         shared-memory runtime, the :class:`_SegmentSpec` pooled tasks
         attach with (``None`` on serial/no-shm runtimes).  Dispatch
         publishes on demand, so this only moves that cost up front.
         """
         if self._closed:
             raise SimulationError("cannot publish on a closed EngineRuntime")
-        entry = self._workload_entry(workload)
+        entry = self._entry(workload.to_arrays())
         spec = self._publish(entry) if self._workers > 1 else None
         return entry.arrays, spec
 
@@ -468,12 +545,11 @@ class EngineRuntime:
             return evaluate_system(system, workload, classifier, level, seed=seed)
         if len(workload) == 0:
             raise SimulationError("cannot evaluate a system on an empty workload")
-        classifier = classifier if classifier is not None else SingleClassClassifier()
         with self._obs.span(
             "runtime.evaluate", system=system.name, cases=len(workload)
         ) as span:
-            entry = self._workload_entry(workload)
-            arrays = entry.arrays
+            prepared = self.prepare(workload, classifier)
+            arrays = prepared.arrays
             if chunk_size is None:
                 chunk_size = plan_chunk_size(
                     len(arrays), self._workers, bytes_per_case=arrays.bytes_per_case
@@ -483,11 +559,11 @@ class EngineRuntime:
             item = build_fused_item(0, system, seed)
             if item[3]:
                 span.set(stream=True)
-            positions, codes, classes = self._cancer_classes(entry, workload, classifier)
-            task = (arrays, chunk_size, positions, codes, len(classes), (item,))
-            ((row,),) = self.run_fused([task], split=True)
+            ((row,),) = self.run_fused([prepared.task(chunk_size, (item,))], split=True)
             with self._obs.span("runtime.tally", chunks=n_chunks):
-                return row_evaluation(system, row, classes, workload.name, level)
+                return row_evaluation(
+                    system, row, prepared.classes, workload.name, level
+                )
 
     def compare(
         self,
@@ -692,36 +768,30 @@ class EngineRuntime:
         if pool is not None:  # pragma: no cover - only after a broken pool
             pool.shutdown(wait=False, cancel_futures=True)
 
-    def _workload_entry(self, workload: Workload) -> _CachedWorkload:
-        """The cache entry for a workload, columnising/digesting at most once."""
-        return self._entry(workload.to_arrays())
+    def _resident(self, arrays: CaseArrays) -> _CachedWorkload | None:
+        """The resident entry holding this very arrays object, if any."""
+        for entry in self._cache.values():
+            if entry.arrays is arrays:
+                return entry
+        return None
 
     def _entry(self, arrays: CaseArrays) -> _CachedWorkload:
-        """The cache entry for a batch, digesting each arrays object once."""
-        memo = self._digest_memo.get(id(arrays))
-        if memo is not None and memo[0] is arrays:
-            digest = memo[1]
-        else:
+        """The cache entry for a batch: by identity when resident, else by
+        content digest (created on a miss, evicting the LRU entry)."""
+        entry = self._resident(arrays)
+        if entry is None:
             digest = _arrays_digest(arrays)
-            self._digest_memo[id(arrays)] = (arrays, digest)
-        entry = self._cache.get(digest)
-        if entry is not None:
-            self._hits += 1
-            self._obs.count("runtime.workload_cache.hit")
-            self._cache.move_to_end(digest)
-            return entry
-        self._misses += 1
-        self._obs.count("runtime.workload_cache.miss")
-        entry = _CachedWorkload(arrays=arrays)
-        self._cache[digest] = entry
-        while len(self._cache) > self._max_cached:
-            _, evicted = self._cache.popitem(last=False)
-            _release_segment(evicted)
-            self._digest_memo = {
-                key: value
-                for key, value in self._digest_memo.items()
-                if value[0] is not evicted.arrays
-            }
+            entry = self._cache.get(digest)
+            if entry is None:
+                self._misses += 1
+                self._obs.count("runtime.workload_cache.miss")
+                entry = self._cache[digest] = _CachedWorkload(arrays, digest)
+                while len(self._cache) > self._max_cached:
+                    _release_segment(self._cache.popitem(last=False)[1])
+                return entry
+        self._hits += 1
+        self._obs.count("runtime.workload_cache.hit")
+        self._cache.move_to_end(entry.digest)
         return entry
 
     def _shared_plane(self, arrays: CaseArrays) -> "_SegmentSpec | CaseArrays":
@@ -729,45 +799,9 @@ class EngineRuntime:
         segment (published now if it is not live), else the arrays."""
         if not self._use_shm:
             return arrays
-        memo = self._digest_memo.get(id(arrays))
-        entry = None
-        if memo is not None and memo[0] is arrays:
-            entry = self._cache.get(memo[1])
+        entry = self._resident(arrays)
         spec = self._publish(entry if entry is not None else self._entry(arrays))
         return spec if spec is not None else arrays
-
-    def _cancer_classes(
-        self,
-        entry: _CachedWorkload,
-        workload: Workload,
-        classifier: CaseClassifier,
-    ) -> tuple[np.ndarray, np.ndarray, tuple[CaseClass, ...]]:
-        """Cached :func:`~repro.engine.fused.cancer_classes` for
-        (workload, classifier).
-
-        Keyed by classifier identity (classifiers are deterministic by
-        protocol, but only *this object's* determinism is known — two
-        distinct instances are never conflated).  The entry keeps a
-        strong reference to the classifier so the id cannot be reused.
-        """
-        cached = entry.labels.get(id(classifier))
-        if cached is not None and cached[0] is classifier:
-            self._obs.count("runtime.label_cache.hit")
-            return cached[1:]
-        self._obs.count("runtime.label_cache.miss")
-        classified = cancer_classes(
-            workload,
-            classifier,
-            entry.arrays,
-            on_scalar_fallback=lambda: self._note_degradation(
-                "scalar_classify",
-                f"classifier {type(classifier).__name__} has no usable "
-                "classify_batch; cancer labels come from the per-case loop "
-                "(labels are identical, classification is slower)",
-            ),
-        )
-        entry.labels[id(classifier)] = (classifier, *classified)
-        return classified
 
     def _publish(self, entry: _CachedWorkload) -> _SegmentSpec | None:
         """Publish an entry's arrays to shared memory (once; may fall back)."""

@@ -13,10 +13,12 @@ Architecture::
                                            ▼
                                    FusedCounts per request
 
-Every engine interaction — workload build, fused dispatch — runs on one
-dedicated thread (``EngineRuntime`` is not thread-safe), fed by the
-event loop through the micro-batcher.  Requests sharing a workload
-fingerprint fuse into one task dispatched through
+Every engine interaction — workload build, prepare, fused dispatch —
+runs on one dedicated thread (``EngineRuntime`` is not thread-safe), fed
+by the event loop through the micro-batcher.  Requests sharing a
+workload fingerprint fuse into one task, built from
+:meth:`EngineRuntime.prepare <repro.engine.runtime.EngineRuntime.prepare>`
+and dispatched through
 :meth:`EngineRuntime.run_fused <repro.engine.runtime.EngineRuntime.run_fused>`;
 each item carries its own seed, and the engine's one kernel derives
 per-item chunk generators from ``(seed, chunk_size)`` alone, so a
@@ -136,8 +138,8 @@ class ServiceConfig:
         max_batch: Batch-size bound; a full group dispatches immediately.
         chunk_size: Engine chunk size — fixed per service because it is
             half of the determinism contract ``(seed, chunk_size)``.
-        max_cached_workloads: Capacity of both the service's workload
-            cache and the runtime's columnised-arrays cache.
+        max_cached_workloads: Capacity of both the service's built-workload
+            cache and the runtime's prepared-workload cache.
         shm_byte_budget: Shared-memory LRU budget handed to the runtime
             (``None`` = unbounded).
         quota_rps: Per-tenant sustained requests/second (``None``
@@ -211,10 +213,9 @@ class ScreeningService:
             obs=self._obs,
         )
         self._cache = WorkloadCache(
-            capacity=self._config.max_cached_workloads,
-            classifier=classifier,
-            obs=self._obs,
+            capacity=self._config.max_cached_workloads, obs=self._obs
         )
+        self._classifier = classifier
         self._quotas = QuotaManager(
             self._config.quota_rps, self._config.quota_burst
         )
@@ -464,24 +465,20 @@ class ScreeningService:
     def _dispatch_sync(self, items: list[_BatchItem]) -> list[FusedCounts]:
         """One fused dispatch for one batch (engine thread only)."""
         with self._obs.span("service.dispatch", items=len(items)):
-            cached = self._cache.get(items[0][0])
+            workload = self._cache.get(items[0][0]).workload
+            prepared = self._runtime.prepare(workload, self._classifier)
             fused = tuple(
                 build_fused_item(index, system.build(seed), seed)
                 for index, (_, system, seed) in enumerate(items)
             )
-            task = (
-                cached.arrays,
-                self._config.chunk_size,
-                cached.positions,
-                cached.codes,
-                len(cached.class_names),
-                fused,
+            (rows,) = self._runtime.run_fused(
+                [prepared.task(self._config.chunk_size, fused)]
             )
-            (rows,) = self._runtime.run_fused([task])
             by_index = {row[0]: row for row in rows}
             self._obs.count("service.dispatches")
+            class_names = prepared.class_names
             return [
-                FusedCounts.from_row(by_index[index], cached.class_names)
+                FusedCounts.from_row(by_index[index], class_names)
                 for index in range(len(items))
             ]
 
@@ -613,7 +610,10 @@ async def _read_request(
         headers[name.strip().lower()] = value.strip()
     else:
         return None
-    length = int(headers.get("content-length", "0") or "0")
+    try:
+        length = int(headers.get("content-length", "0") or "0")
+    except ValueError:
+        return None
     if length < 0 or length > _MAX_BODY_BYTES:
         return None
     body = await reader.readexactly(length) if length else b""

@@ -10,8 +10,9 @@ in the batch.
 
 Coalescing is invisible in the results by construction: the dispatch
 callback receives the items exactly as submitted (each carrying its own
-seed), runs them through :func:`repro.engine.fused.run_fused_batch` —
-whose per-item chunk generators depend only on ``(seed, chunk_size)`` —
+seed), runs them through the engine's one kernel
+(:mod:`repro.engine.fused`) — whose per-item chunk generators depend
+only on ``(seed, chunk_size)`` —
 and each submitter's future resolves with its own result plus the batch
 size it rode in (the ``service.batch_size`` observable).
 """

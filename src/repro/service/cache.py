@@ -6,15 +6,12 @@ same spec mean the same case sequence — ``WorkloadSpec.key()`` is a
 content fingerprint, so one cache serves every tenant without
 cross-tenant leakage (a key fully determines its workload).
 
-The cache holds what is expensive to rebuild and stable per workload:
-the materialised :class:`~repro.screening.workload.Workload`, the
-columnised arrays, the cancer positions, and the per-class codes the
-fused tally needs.  Publication into the engine's shared-memory plane is
-deliberately *not* cached here — :meth:`EngineRuntime.run_fused
-<repro.engine.runtime.EngineRuntime.run_fused>` resolves the segment
-each pooled dispatch (a fingerprint-keyed memo hit when resident), so
-the runtime's ``shm_byte_budget`` LRU can evict segments freely without
-the service holding stale specs.
+The cache holds only the built :class:`~repro.screening.workload.Workload`
+— what a spec costs to materialise.  Everything dispatch-ready about it
+(columnised arrays, cancer class codes, the shared-memory segment) is the
+engine's: :meth:`EngineRuntime.prepare
+<repro.engine.runtime.EngineRuntime.prepare>` keeps it resident, so the
+runtime's LRU and ``shm_byte_budget`` bound it in one place.
 """
 
 from __future__ import annotations
@@ -22,29 +19,20 @@ from __future__ import annotations
 from collections import OrderedDict
 from dataclasses import dataclass
 
-import numpy as np
-
 from ..exceptions import SimulationError
 from ..obs import NULL_INSTRUMENTATION, Instrumentation
-from ..screening.classifier import CaseClassifier, SingleClassClassifier
 from ..screening.workload import Workload
 from ..sweep.grid import WorkloadSpec
-from ..engine.arrays import CaseArrays
-from ..engine.fused import cancer_classes
 
 __all__ = ["CachedWorkload", "WorkloadCache"]
 
 
 @dataclass(frozen=True)
 class CachedWorkload:
-    """One workload's dispatch-ready state, keyed by its spec fingerprint."""
+    """One built workload, keyed by its spec fingerprint."""
 
     key: str
     workload: Workload
-    arrays: CaseArrays
-    positions: np.ndarray
-    codes: np.ndarray
-    class_names: tuple[str, ...]
 
 
 class WorkloadCache:
@@ -55,29 +43,18 @@ class WorkloadCache:
     being duplicated by concurrent misses on the same key.
     """
 
-    def __init__(
-        self,
-        capacity: int = 8,
-        classifier: CaseClassifier | None = None,
-        obs: Instrumentation | None = None,
-    ) -> None:
+    def __init__(self, capacity: int = 8, obs: Instrumentation | None = None) -> None:
         if capacity < 1:
             raise SimulationError(f"cache capacity must be >= 1, got {capacity!r}")
         self._capacity = capacity
-        self._classifier = classifier if classifier is not None else SingleClassClassifier()
         self._obs = obs if obs is not None else NULL_INSTRUMENTATION
         self._entries: OrderedDict[str, CachedWorkload] = OrderedDict()
 
     def __len__(self) -> int:
         return len(self._entries)
 
-    @property
-    def classifier(self) -> CaseClassifier:
-        """The classifier whose classes every cached entry is coded against."""
-        return self._classifier
-
     def get(self, spec: WorkloadSpec) -> CachedWorkload:
-        """The dispatch-ready state for ``spec`` (built on miss)."""
+        """The built workload for ``spec`` (built on miss)."""
         key = spec.key()
         entry = self._entries.get(key)
         if entry is not None:
@@ -86,19 +63,7 @@ class WorkloadCache:
             return entry
         self._obs.count("service.workload_cache.miss")
         with self._obs.span("service.workload_build", key=key):
-            workload = spec.build()
-            arrays = workload.to_arrays()
-            positions, codes, classes = cancer_classes(
-                workload, self._classifier, arrays
-            )
-            entry = CachedWorkload(
-                key=key,
-                workload=workload,
-                arrays=arrays,
-                positions=positions,
-                codes=codes,
-                class_names=tuple(case_class.name for case_class in classes),
-            )
+            entry = CachedWorkload(key=key, workload=spec.build())
         self._entries[key] = entry
         while len(self._entries) > self._capacity:
             self._entries.popitem(last=False)

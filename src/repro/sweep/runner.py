@@ -1,15 +1,17 @@
 """The sweep runner: execute compiled plans fast, checkpointed, resumable.
 
-Execution walks the plan shard by shard.  Per distinct workload (not per
-cell) it materialises the cases, columnises them, and classifies the
-cancer cases once.  Cells sharing a workload then execute as fused
-tasks: one task carries many ``(system, seed)`` pairs against one set of
-arrays, so the pool round-trip, the columnisation, and the
-classification amortise across the whole batch.  With a runtime, a
-shard's tasks go through :meth:`EngineRuntime.run_fused
-<repro.engine.runtime.EngineRuntime.run_fused>` — one pool submission
-per task, each carrying the workload's shared-memory segment — and
-without one they run in-process.
+Execution walks the plan shard by shard on an
+:class:`~repro.engine.runtime.EngineRuntime` (the caller's, or one owned
+for the run).  Per distinct workload (not per cell) it materialises the
+cases once and makes them dispatch-ready through
+:meth:`EngineRuntime.prepare <repro.engine.runtime.EngineRuntime.prepare>`.
+Cells sharing a workload then execute as fused tasks: one task carries
+many ``(system, seed)`` pairs against one prepared workload, so the pool
+round-trip, the columnisation, and the classification amortise across
+the whole batch.  A shard's tasks go through :meth:`EngineRuntime.run_fused
+<repro.engine.runtime.EngineRuntime.run_fused>` — in-process on a serial
+runtime, else one pool submission per task, each carrying the workload's
+shared-memory segment.
 
 **Determinism contract.**  A cell's failure counts depend only on its
 recorded ``(seed, chunk_size)``: every task runs the engine's one kernel
@@ -32,23 +34,13 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Mapping, Sequence
 
-import numpy as np
-
 from ..engine.executor import DEFAULT_CHUNK_SIZE
-from ..engine.fused import (
-    FusedCounts,
-    FusedItem,
-    FusedTask,
-    build_fused_item,
-    cancer_classes,
-    run_fused_batch,
-)
+from ..engine.fused import FusedCounts, FusedItem, FusedTask, build_fused_item
 from ..analysis.streaming import WelfordAccumulator
-from ..engine.runtime import EngineRuntime
-from ..engine.arrays import CaseArrays
+from ..engine.runtime import EngineRuntime, PreparedWorkload
 from ..exceptions import EstimationError, SimulationError
 from ..obs import Instrumentation, get_instrumentation
-from ..screening.classifier import CaseClassifier, SingleClassClassifier
+from ..screening.classifier import CaseClassifier
 from ..system.simulate import SystemEvaluation
 from ..trial.storage import append_journal_entries, load_journal_entries
 from .grid import ScenarioGrid
@@ -418,20 +410,6 @@ class SweepResult:
 
 
 # ---------------------------------------------------------------------------
-# per-workload context
-
-
-@dataclass
-class _WorkloadContext:
-    """One distinct workload's materialised run-state (built once)."""
-
-    arrays: CaseArrays
-    positions: np.ndarray
-    codes: np.ndarray
-    class_names: tuple[str, ...]
-
-
-# ---------------------------------------------------------------------------
 # journal
 
 
@@ -520,11 +498,10 @@ def run_sweep(
         classifier: Per-class breakdown criterion (single class when
             omitted), shared by every cell.
         level: Confidence level of the per-cell intervals.
-        workers: Worker processes.  ``1`` runs everything in-process;
-            more fan fused dispatches out over a persistent
-            :class:`~repro.engine.runtime.EngineRuntime` reading the
-            workload plane from shared memory.  Results are identical
-            at every worker count.
+        workers: Worker processes of the runtime owned for this run.
+            ``1`` runs everything in-process; more fan fused dispatches
+            out over a pool reading the workload plane from shared
+            memory.  Results are identical at every worker count.
         chunk_size: Chunk size all cells evaluate with (results depend
             only on ``(seed, chunk_size)``).
         shard_size: Checkpoint granularity (cells per journalled shard).
@@ -538,8 +515,7 @@ def run_sweep(
             deterministic, for tests and budgeted runs.
         runtime: An existing runtime to execute on (its worker count
             wins over ``workers``); the caller keeps ownership.  With
-            ``None`` and ``workers > 1``, a runtime is created and
-            closed internally.
+            ``None``, a runtime is created and closed internally.
         obs: Instrumentation to record into (ambient resolution when
             ``None``).
 
@@ -562,10 +538,9 @@ def run_sweep(
         fuse_limit=fuse_limit,
     )
     instrumentation = obs if obs is not None else get_instrumentation()
-    own_runtime = runtime is None and workers > 1
-    active_runtime = runtime
-    if own_runtime:
-        active_runtime = EngineRuntime(
+    own_runtime = runtime is None
+    if runtime is None:
+        runtime = EngineRuntime(
             workers=workers,
             max_cached_workloads=max(4, len(plan.workloads)),
             obs=instrumentation,
@@ -575,15 +550,15 @@ def run_sweep(
             plan,
             classifier=classifier,
             level=level,
-            runtime=active_runtime,
+            runtime=runtime,
             journal=journal,
             resume=resume,
             max_shards=max_shards,
             obs=instrumentation,
         )
     finally:
-        if own_runtime and active_runtime is not None:
-            active_runtime.close()
+        if own_runtime:
+            runtime.close()
 
 
 def resume_sweep(
@@ -608,14 +583,13 @@ def _execute_plan(
     *,
     classifier: CaseClassifier | None,
     level: float,
-    runtime: EngineRuntime | None,
+    runtime: EngineRuntime,
     journal: str | Path | None,
     resume: bool,
     max_shards: int | None,
     obs: Instrumentation,
 ) -> SweepResult:
     """Walk the plan's shards; the shared body of run/resume."""
-    classifier = classifier if classifier is not None else SingleClassClassifier()
     completed: dict[str, CellResult] = {}
     shard_states: dict[int, ShardStreamState] = {}
     journal_exists = False
@@ -629,7 +603,7 @@ def _execute_plan(
         if resume and journal_exists:
             completed, shard_states = _load_journal(journal, plan)
 
-    contexts: dict[str, _WorkloadContext] = {}
+    prepared: dict[str, PreparedWorkload] = {}
     results: dict[int, CellResult] = {}
     executed = 0
     skipped = 0
@@ -671,7 +645,7 @@ def _execute_plan(
                 break
             with obs.span("sweep.shard", shard=shard.index, cells=len(pending)):
                 shard_results = _execute_shard(
-                    plan, shard, pending, contexts, classifier, runtime, obs
+                    plan, shard, pending, prepared, classifier, runtime, obs
                 )
             for result in shard_results:
                 results[result.index] = result
@@ -709,31 +683,22 @@ def _execute_plan(
     )
 
 
-def _workload_context(
+def _prepared_workload(
     plan: SweepPlan,
     key: str,
-    contexts: dict[str, _WorkloadContext],
-    classifier: CaseClassifier,
+    prepared: dict[str, PreparedWorkload],
+    classifier: CaseClassifier | None,
+    runtime: EngineRuntime,
     obs: Instrumentation,
-) -> _WorkloadContext:
-    """The (cached) run-state for one distinct workload."""
-    context = contexts.get(key)
-    if context is not None:
+) -> PreparedWorkload:
+    """One distinct workload, built once per run and prepared on the runtime."""
+    if key in prepared:
         obs.count("sweep.workloads.reused")
-        return context
+        return prepared[key]
     with obs.span("sweep.workload", key=key):
-        workload = plan.workloads[key].build()
-        arrays = workload.to_arrays()
-        positions, codes, classes = cancer_classes(workload, classifier, arrays)
-        context = _WorkloadContext(
-            arrays=arrays,
-            positions=positions,
-            codes=codes,
-            class_names=tuple(case_class.name for case_class in classes),
-        )
-    contexts[key] = context
+        prepared[key] = runtime.prepare(plan.workloads[key].build(), classifier)
     obs.count("sweep.workloads.built")
-    return context
+    return prepared[key]
 
 
 def _build_cell_work(planned: PlannedCell) -> FusedItem:
@@ -749,9 +714,9 @@ def _execute_shard(
     plan: SweepPlan,
     shard: Shard,
     pending: list[PlannedCell],
-    contexts: dict[str, _WorkloadContext],
-    classifier: CaseClassifier,
-    runtime: EngineRuntime | None,
+    prepared: dict[str, PreparedWorkload],
+    classifier: CaseClassifier | None,
+    runtime: EngineRuntime,
     obs: Instrumentation,
 ) -> list[CellResult]:
     """Execute one shard's pending cells as fused dispatches."""
@@ -764,34 +729,22 @@ def _execute_shard(
         ]
         if not cells:
             continue
-        context = _workload_context(
-            plan, batch.workload_key, contexts, classifier, obs
+        ready = _prepared_workload(
+            plan, batch.workload_key, prepared, classifier, runtime, obs
         )
         items = tuple(_build_cell_work(planned) for planned in cells)
-        tasks.append(
-            (
-                context.arrays,
-                plan.chunk_size,
-                context.positions,
-                context.codes,
-                len(context.class_names),
-                items,
-            )
-        )
+        tasks.append(ready.task(plan.chunk_size, items))
         task_meta.append(cells)
         obs.count("sweep.dispatches")
-    if runtime is not None:
-        outputs = runtime.run_fused(tasks)
-    else:
-        outputs = [run_fused_batch(task) for task in tasks]
+    outputs = runtime.run_fused(tasks)
 
     shard_results: list[CellResult] = []
     for cells, output in zip(task_meta, outputs):
         by_index = {planned.index: planned for planned in cells}
-        context = contexts[cells[0].workload_key]
+        class_names = prepared[cells[0].workload_key].class_names
         for row in output:
             planned = by_index[row[0]]
-            counts = FusedCounts.from_row(row, context.class_names)
+            counts = FusedCounts.from_row(row, class_names)
             shard_results.append(
                 CellResult(
                     index=planned.index,

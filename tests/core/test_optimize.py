@@ -1,7 +1,9 @@
 """Tests for repro.core.optimize (improvement-budget allocation)."""
 
 import math
+import time
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -129,6 +131,38 @@ class TestStructure:
             optimal_improvement_allocation(
                 paper_model, PAPER_FIELD_PROFILE, float("inf")
             )
+
+
+def random_model(n, seed=5):
+    rng = np.random.default_rng(seed)
+    params, weights = {}, {}
+    for index in range(n):
+        low = float(rng.uniform(0, 0.5))
+        high = float(min(1.0, low + rng.uniform(0, 0.5)))
+        params[f"c{index}"] = ClassParameters(float(rng.uniform(0, 1)), high, low)
+        weights[f"c{index}"] = float(rng.uniform(0.1, 1.0))
+    return SequentialModel(ModelParameters(params)), DemandProfile.from_weights(weights)
+
+
+class TestScaling:
+    def test_allocation_time_grows_near_linearly_in_classes(self):
+        """4x the classes must cost well under 16x (the quadratic ratio).
+
+        Best-of-5 timings damp scheduler noise; a linear allocation
+        measures ~4x, one parameter-table rebuild per class ~15x.
+        """
+
+        def best_time(n):
+            model, profile = random_model(n)
+            times = []
+            for _ in range(5):
+                start = time.perf_counter()
+                optimal_improvement_allocation(model, profile, math.log(100.0))
+                times.append(time.perf_counter() - start)
+            return min(times)
+
+        ratio = best_time(1600) / best_time(400)
+        assert ratio < 8.0, f"4x classes took {ratio:.1f}x the time"
 
 
 class TestOptimalityProperty:
