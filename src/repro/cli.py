@@ -656,15 +656,13 @@ def _command_simulate(args: argparse.Namespace) -> None:
 
     classifier = SubtletyClassifier()
     with _observability(args, "simulate"):
-        # One persistent runtime serves every system: the pool, the
-        # published workload, and the label cache are shared across the
-        # loop.  The seeded results are identical to the per-call path
-        # (same chunking, same chunk generators) — and identical with
+        # One runtime serves every batch system: the pool, the published
+        # workload, and the label cache are shared across the loop.  The
+        # seeded results are identical at every worker count (same
+        # chunking, same chunk generators) — and identical with
         # instrumentation on or off.
         runtime = (
-            EngineRuntime(workers=args.workers)
-            if args.engine == "batch" and args.workers > 1
-            else None
+            EngineRuntime(workers=args.workers) if args.engine == "batch" else None
         )
         rows = []
         try:
@@ -676,7 +674,6 @@ def _command_simulate(args: argparse.Namespace) -> None:
                         workload,
                         classifier,
                         seed=args.seed + 3,
-                        workers=args.workers,
                         chunk_size=(
                             args.chunk_size
                             if args.chunk_size is not None

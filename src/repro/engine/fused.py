@@ -4,9 +4,11 @@ Every evaluation the engine runs is a :data:`FusedTask` — a workload
 plane, a chunk size, the cancer positions and class codes, and one or
 more ``(system, seed)`` items — executed by :func:`_run_task`, the
 pool's only worker entry point (:func:`run_fused_batch` is its untraced
-public face).  ``evaluate_system_batch``/``compare_systems_batch`` build
-one-item tasks; the sweep runner fuses a batch of cells into one task
-and the service a batch of coalesced requests;
+public face).  :meth:`EngineRuntime.evaluate
+<repro.engine.runtime.EngineRuntime.evaluate>` (behind
+``evaluate_system_batch``/``compare_systems_batch``) builds one-item
+tasks; the sweep runner fuses a batch of cells into one task and the
+service a batch of coalesced requests;
 :meth:`EngineRuntime.run_fused <repro.engine.runtime.EngineRuntime.run_fused>`
 decides where each runs.  The plane is the
 :class:`~repro.engine.arrays.CaseArrays` themselves or a
@@ -53,6 +55,7 @@ from ..system.single import ScreeningSystem
 from .arrays import CaseArrays
 
 __all__ = [
+    "DEFAULT_CHUNK_SIZE",
     "FusedItem",
     "FusedTask",
     "FusedRow",
@@ -66,6 +69,12 @@ __all__ = [
     "cancer_classes",
     "row_evaluation",
 ]
+
+#: Default cases per chunk.  Large enough that per-chunk Python overhead
+#: is negligible, small enough that chunk buffers stay cache-friendly.
+#: Pass ``chunk_size=None`` for adaptive planning
+#: (:func:`repro.engine.runtime.plan_chunk_size`).
+DEFAULT_CHUNK_SIZE = 16384
 
 #: One fused item's work: ``(index, system, seed, stream, chunks)``.
 #: ``index`` is the caller's demultiplexing key (cell index, request

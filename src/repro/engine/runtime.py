@@ -54,8 +54,8 @@ from ..screening.workload import Workload
 from ..system.simulate import SystemEvaluation, evaluate_system
 from ..system.single import ScreeningSystem
 from .arrays import ARRAY_FIELDS, CaseArrays
-from .executor import DEFAULT_CHUNK_SIZE
 from .fused import (
+    DEFAULT_CHUNK_SIZE,
     FusedItem,
     FusedRow,
     FusedTask,
@@ -302,18 +302,18 @@ class EngineRuntime:
     Everything expensive is created once and reused: the process pool,
     the shared-memory publication of each workload, and its prepared
     form (:meth:`prepare`: columnisation plus per-classifier
-    cancer-class codes).  Every evaluation runs the
-    one fused kernel, in-process or pooled, so results are identical to
-    a serial :func:`~repro.engine.executor.evaluate_system_batch` — the
-    runtime is a pure performance substrate.
+    cancer-class codes).  Every evaluation in the engine runs here —
+    :func:`~repro.engine.executor.evaluate_system_batch` without a
+    ``runtime`` opens one for the call — and every one runs the one
+    fused kernel, in-process or pooled, so results are identical at
+    every worker count: the runtime is a pure performance substrate.
 
     Args:
         workers: Worker processes for seeded parallel execution.  ``1``
             keeps everything in-process (no pool, no shared memory).
-        use_shared_memory: ``None`` probes availability (the default);
-            ``False`` always pickles arrays into tasks; ``True``
-            requests shared memory but still falls back if a segment
-            cannot be created.
+            Shared memory is used where it is available
+            (:func:`shared_memory_available`); otherwise, or if a
+            publication fails, arrays are pickled into tasks.
         max_cached_workloads: Distinct workloads kept resident (LRU);
             nothing else the runtime holds grows with the workloads seen.
         shm_byte_budget: Soft cap on the total bytes of live shared
@@ -337,7 +337,6 @@ class EngineRuntime:
     def __init__(
         self,
         workers: int = 2,
-        use_shared_memory: bool | None = None,
         max_cached_workloads: int = 4,
         shm_byte_budget: int | None = None,
         obs: Instrumentation | None = None,
@@ -359,16 +358,13 @@ class EngineRuntime:
         )
         self._obs = obs if obs is not None else get_instrumentation()
         self._degraded: set[str] = set()
-        if use_shared_memory is None or use_shared_memory:
-            self._use_shm = shared_memory_available()
-            if not self._use_shm and self._workers > 1:
-                self._note_degradation(
-                    "no_shm",
-                    "shared memory is unavailable; workloads will be pickled "
-                    "into every task group (results are unaffected)",
-                )
-        else:
-            self._use_shm = False
+        self._use_shm = shared_memory_available()
+        if not self._use_shm and self._workers > 1:
+            self._note_degradation(
+                "no_shm",
+                "shared memory is unavailable; workloads will be pickled "
+                "into every task group (results are unaffected)",
+            )
         self._pool_box: list[ProcessPoolExecutor | None] = [None]
         self._pool_launches = 0
         self._cache: OrderedDict[str, _CachedWorkload] = OrderedDict()
@@ -523,7 +519,7 @@ class EngineRuntime:
         seed: int | None = None,
         chunk_size: int | None = DEFAULT_CHUNK_SIZE,
     ) -> SystemEvaluation:
-        """Evaluate one system; the runtime analogue of
+        """Evaluate one system — the engine's one evaluate body, behind
         :func:`~repro.engine.executor.evaluate_system_batch`.
 
         The system becomes a one-item task for :meth:`run_fused` with
@@ -579,7 +575,7 @@ class EngineRuntime:
 
         The pool, the published workload, and the class-code cache serve
         every system; each system's chunk generators derive from the
-        same seed (common random numbers), exactly as
+        same seed (common random numbers).  The body behind
         :func:`~repro.engine.executor.compare_systems_batch`.
         """
         names = [system.name for system in systems]

@@ -45,8 +45,9 @@ class LintConfig:
         numeric_seam_modules: Modules allowed to call transcendentals
             directly — the implementation of the seam itself.
         randomness_seam_modules: Modules allowed to construct unseeded
-            generators (REP001): the numeric seam and the engine executor,
-            which owns the chunk-generator derivation.
+            generators (REP001): the numeric seam.  Chunk generators in
+            :mod:`repro.engine.fused` are always built from an explicit
+            seed, so the engine needs no exemption.
         seed_threading_packages: Packages whose public ``decide`` /
             ``evaluate*`` / ``compare*`` entry points must thread
             ``seed``/``rng`` (REP005).
@@ -79,10 +80,7 @@ class LintConfig:
         "repro.system",
     )
     numeric_seam_modules: tuple[str, ...] = ("repro._numeric",)
-    randomness_seam_modules: tuple[str, ...] = (
-        "repro._numeric",
-        "repro.engine.executor",
-    )
+    randomness_seam_modules: tuple[str, ...] = ("repro._numeric",)
     seed_threading_packages: tuple[str, ...] = (
         "repro.reader",
         "repro.cadt",

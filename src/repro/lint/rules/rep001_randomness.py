@@ -12,9 +12,9 @@ parameter.  Two shapes break that silently:
   OS-entropy-seeded generator that makes the result irreproducible.
 
 ``default_rng(seed)`` with an explicit argument is fine anywhere: that
-*is* the threading idiom.  The approved seam modules (``repro._numeric``,
-``repro.engine.executor``) are exempt — the executor owns chunk-generator
-derivation and may construct streams freely.
+*is* the threading idiom — it is how the engine's chunk generators are
+derived (:mod:`repro.engine.fused`).  The approved seam module
+(``repro._numeric``) is exempt.
 """
 
 from __future__ import annotations

@@ -38,7 +38,6 @@ from .plan import (
 )
 from .runner import (
     JOURNAL_SCHEMA_VERSION,
-    SHARD_STATE_SCHEMA,
     CellResult,
     ShardStreamState,
     SweepResult,
@@ -68,7 +67,6 @@ __all__ = [
     "compile_grid",
     "CellResult",
     "ShardStreamState",
-    "SHARD_STATE_SCHEMA",
     "SweepResult",
     "run_sweep",
     "resume_sweep",

@@ -26,6 +26,9 @@ fingerprint and every completed shard appends its cell results as JSONL
 (:func:`repro.trial.storage.append_journal_entries`).  ``resume=True``
 replays the journal — verifying the fingerprint — and skips completed
 cells without recomputing them (counted under ``sweep.cells.skipped``).
+The journalled cell is the only stored result: per-shard streaming
+summaries (:attr:`SweepResult.shard_states`) are derived from the cells,
+and journal entry kinds other than the header and cells are skipped.
 """
 
 from __future__ import annotations
@@ -34,11 +37,11 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Mapping, Sequence
 
-from ..engine.executor import DEFAULT_CHUNK_SIZE
-from ..engine.fused import FusedCounts, FusedItem, FusedTask, build_fused_item
 from ..analysis.streaming import WelfordAccumulator
+from ..engine.executor import DEFAULT_CHUNK_SIZE, evaluate_system_batch
+from ..engine.fused import FusedCounts, FusedItem, FusedTask, build_fused_item
 from ..engine.runtime import EngineRuntime, PreparedWorkload
-from ..exceptions import EstimationError, SimulationError
+from ..exceptions import SimulationError
 from ..obs import Instrumentation, get_instrumentation
 from ..screening.classifier import CaseClassifier
 from ..system.simulate import SystemEvaluation
@@ -55,7 +58,6 @@ from .plan import (
 
 __all__ = [
     "JOURNAL_SCHEMA_VERSION",
-    "SHARD_STATE_SCHEMA",
     "CellResult",
     "ShardStreamState",
     "SweepResult",
@@ -66,9 +68,6 @@ __all__ = [
 
 #: Version stamped into (and required of) sweep journal headers.
 JOURNAL_SCHEMA_VERSION = 1
-
-#: Version of the per-shard streaming-state journal entries.
-SHARD_STATE_SCHEMA = 1
 
 
 # ---------------------------------------------------------------------------
@@ -91,13 +90,8 @@ class CellResult:
         seed: The recorded evaluation seed.
         system_name: Name of the evaluated system.
         workload_name: Name of the workload it ran on.
-        cancer_failures: False negatives over cancer cases.
-        cancer_trials: Cancer cases seen.
-        healthy_failures: False positives over healthy cases.
-        healthy_trials: Healthy cases seen.
-        class_names: Case-class names with at least one cancer trial.
-        class_failures: False negatives per class (aligned with names).
-        class_trials: Cancer trials per class (aligned with names).
+        counts: The cell's demultiplexed kernel counts (FN/FP totals and
+            the per-class breakdown).
     """
 
     index: int
@@ -105,29 +99,15 @@ class CellResult:
     seed: int
     system_name: str
     workload_name: str
-    cancer_failures: int
-    cancer_trials: int
-    healthy_failures: int
-    healthy_trials: int
-    class_names: tuple[str, ...]
-    class_failures: tuple[int, ...]
-    class_trials: tuple[int, ...]
+    counts: FusedCounts
 
     def evaluation(self, level: float = 0.95) -> SystemEvaluation:
         """The counts as a :class:`SystemEvaluation` (same floats as live)."""
-        counts = FusedCounts(
-            cancer_failures=self.cancer_failures,
-            cancer_trials=self.cancer_trials,
-            healthy_failures=self.healthy_failures,
-            healthy_trials=self.healthy_trials,
-            class_names=self.class_names,
-            class_failures=self.class_failures,
-            class_trials=self.class_trials,
-        )
-        return counts.evaluation(self.system_name, self.workload_name, level)
+        return self.counts.evaluation(self.system_name, self.workload_name, level)
 
     def to_entry(self, shard: int) -> dict[str, Any]:
         """The journal line for this result."""
+        counts = self.counts
         return {
             "kind": "cell",
             "shard": shard,
@@ -137,13 +117,13 @@ class CellResult:
             "system": self.system_name,
             "workload": self.workload_name,
             "counts": {
-                "cancer_failures": self.cancer_failures,
-                "cancer_trials": self.cancer_trials,
-                "healthy_failures": self.healthy_failures,
-                "healthy_trials": self.healthy_trials,
-                "class_names": list(self.class_names),
-                "class_failures": list(self.class_failures),
-                "class_trials": list(self.class_trials),
+                "cancer_failures": counts.cancer_failures,
+                "cancer_trials": counts.cancer_trials,
+                "healthy_failures": counts.healthy_failures,
+                "healthy_trials": counts.healthy_trials,
+                "class_names": list(counts.class_names),
+                "class_failures": list(counts.class_failures),
+                "class_trials": list(counts.class_trials),
             },
         }
 
@@ -162,13 +142,15 @@ class CellResult:
                 seed=int(entry["seed"]),
                 system_name=str(entry["system"]),
                 workload_name=str(entry["workload"]),
-                cancer_failures=int(counts["cancer_failures"]),
-                cancer_trials=int(counts["cancer_trials"]),
-                healthy_failures=int(counts["healthy_failures"]),
-                healthy_trials=int(counts["healthy_trials"]),
-                class_names=tuple(str(n) for n in counts["class_names"]),
-                class_failures=tuple(int(f) for f in counts["class_failures"]),
-                class_trials=tuple(int(t) for t in counts["class_trials"]),
+                counts=FusedCounts(
+                    cancer_failures=int(counts["cancer_failures"]),
+                    cancer_trials=int(counts["cancer_trials"]),
+                    healthy_failures=int(counts["healthy_failures"]),
+                    healthy_trials=int(counts["healthy_trials"]),
+                    class_names=tuple(str(n) for n in counts["class_names"]),
+                    class_failures=tuple(int(f) for f in counts["class_failures"]),
+                    class_trials=tuple(int(t) for t in counts["class_trials"]),
+                ),
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise SimulationError(f"malformed journal cell entry: {exc}") from exc
@@ -218,15 +200,16 @@ class ShardStreamState:
         """Fold one shard's cell results into a fresh state."""
         state = cls(shard=shard)
         for result in results:
+            counts = result.counts
             state.cells += 1
-            state.fn_failures += result.cancer_failures
-            state.fn_trials += result.cancer_trials
-            state.fp_failures += result.healthy_failures
-            state.fp_trials += result.healthy_trials
-            if result.cancer_trials:
-                state.fn_rate.add(result.cancer_failures / result.cancer_trials)
-            if result.healthy_trials:
-                state.fp_rate.add(result.healthy_failures / result.healthy_trials)
+            state.fn_failures += counts.cancer_failures
+            state.fn_trials += counts.cancer_trials
+            state.fp_failures += counts.healthy_failures
+            state.fp_trials += counts.healthy_trials
+            if counts.cancer_trials:
+                state.fn_rate.add(counts.cancer_failures / counts.cancer_trials)
+            if counts.healthy_trials:
+                state.fp_rate.add(counts.healthy_failures / counts.healthy_trials)
         return state
 
     def merge(self, other: "ShardStreamState") -> "ShardStreamState":
@@ -243,61 +226,6 @@ class ShardStreamState:
         self.fn_rate.merge(other.fn_rate)
         self.fp_rate.merge(other.fp_rate)
         return self
-
-    def to_entry(self) -> dict[str, Any]:
-        """The journal line for this state (exact moments included)."""
-        return {
-            "kind": "shard_state",
-            "schema": SHARD_STATE_SCHEMA,
-            "shard": self.shard,
-            "cells": self.cells,
-            "fn_failures": self.fn_failures,
-            "fn_trials": self.fn_trials,
-            "fp_failures": self.fp_failures,
-            "fp_trials": self.fp_trials,
-            "fn_rate": {
-                "count": self.fn_rate.count,
-                "mean": self.fn_rate.mean,
-                "m2": self.fn_rate.m2,
-            },
-            "fp_rate": {
-                "count": self.fp_rate.count,
-                "mean": self.fp_rate.mean,
-                "m2": self.fp_rate.m2,
-            },
-        }
-
-    @classmethod
-    def from_entry(cls, entry: Mapping[str, Any]) -> "ShardStreamState":
-        """Rebuild a state from its journal line.
-
-        Raises:
-            SimulationError: on a malformed or wrong-schema entry.
-        """
-        if entry.get("schema") != SHARD_STATE_SCHEMA:
-            raise SimulationError(
-                f"shard state entry has schema {entry.get('schema')!r}; "
-                f"this build reads schema {SHARD_STATE_SCHEMA}"
-            )
-        try:
-            fn = entry["fn_rate"]
-            fp = entry["fp_rate"]
-            return cls(
-                shard=int(entry["shard"]),
-                cells=int(entry["cells"]),
-                fn_failures=int(entry["fn_failures"]),
-                fn_trials=int(entry["fn_trials"]),
-                fp_failures=int(entry["fp_failures"]),
-                fp_trials=int(entry["fp_trials"]),
-                fn_rate=WelfordAccumulator.from_moments(
-                    int(fn["count"]), float(fn["mean"]), float(fn["m2"])
-                ),
-                fp_rate=WelfordAccumulator.from_moments(
-                    int(fp["count"]), float(fp["mean"]), float(fp["m2"])
-                ),
-            )
-        except (KeyError, TypeError, ValueError, EstimationError) as exc:
-            raise SimulationError(f"malformed shard state entry: {exc}") from exc
 
     def as_dict(self) -> dict[str, Any]:
         """A JSON-ready summary (pooled rates + per-cell dispersion)."""
@@ -329,8 +257,6 @@ class SweepResult:
         executed: Cells computed by this run.
         skipped: Cells restored from the journal instead of recomputed.
         level: Confidence level used by :meth:`evaluations`.
-        shard_states: Per-shard mergeable streaming summaries, shard
-            order (restored from the journal for skipped shards).
     """
 
     plan: SweepPlan
@@ -338,12 +264,32 @@ class SweepResult:
     executed: int
     skipped: int
     level: float = 0.95
-    shard_states: tuple[ShardStreamState, ...] = ()
 
     @property
     def complete(self) -> bool:
         """Whether every planned cell has a result."""
         return len(self.results) == len(self.plan)
+
+    @property
+    def shard_states(self) -> tuple[ShardStreamState, ...]:
+        """Per-shard mergeable streaming summaries, in shard order.
+
+        One state per shard whose cells all have results, folded from
+        those results in the shard's cell order — executed and
+        journal-restored cells alike, so the states of a resumed run
+        equal an uninterrupted run's.
+        """
+        by_index = {result.index: result for result in self.results}
+        states = []
+        for shard in self.plan.shards:
+            indices = [planned.index for planned in shard.cells()]
+            if all(index in by_index for index in indices):
+                states.append(
+                    ShardStreamState.from_results(
+                        shard.index, [by_index[index] for index in indices]
+                    )
+                )
+        return tuple(states)
 
     def evaluations(self) -> dict[str, SystemEvaluation]:
         """Per-cell evaluations keyed by cell id."""
@@ -375,10 +321,10 @@ class SweepResult:
                     "dynamics": cell.system.dynamics,
                     "operating_point": cell.system.operating_point,
                     "replicate": cell.replicate,
-                    "fn_failures": result.cancer_failures,
-                    "fn_trials": result.cancer_trials,
-                    "fp_failures": result.healthy_failures,
-                    "fp_trials": result.healthy_trials,
+                    "fn_failures": result.counts.cancer_failures,
+                    "fn_trials": result.counts.cancer_trials,
+                    "fp_failures": result.counts.healthy_failures,
+                    "fp_trials": result.counts.healthy_trials,
                 }
             )
         return rows
@@ -425,10 +371,11 @@ def _journal_header(plan: SweepPlan) -> dict[str, Any]:
     }
 
 
-def _load_journal(
-    path: str | Path, plan: SweepPlan
-) -> tuple[dict[str, CellResult], dict[int, ShardStreamState]]:
-    """Completed cells (and shard states) recorded in a journal.
+def _load_journal(path: str | Path, plan: SweepPlan) -> dict[str, CellResult] | None:
+    """Completed cells recorded in a journal, or ``None`` when it has no
+    entries (missing, empty, or only a torn first line).
+
+    Entry kinds other than ``cell`` after the header are skipped.
 
     Raises:
         SimulationError: when the journal belongs to a different plan
@@ -436,7 +383,7 @@ def _load_journal(
     """
     entries = load_journal_entries(path)
     if not entries:
-        return {}, {}
+        return None
     header = entries[0]
     if header.get("kind") != "header":
         raise SimulationError(
@@ -455,17 +402,11 @@ def _load_journal(
             "grid, seed, and chunking"
         )
     completed: dict[str, CellResult] = {}
-    states: dict[int, ShardStreamState] = {}
     for entry in entries[1:]:
-        if entry.get("kind") == "shard_state":
-            state = ShardStreamState.from_entry(entry)
-            states[state.shard] = state
-            continue
-        if entry.get("kind") != "cell":
-            continue
-        result = CellResult.from_entry(entry)
-        completed[result.cell_id] = result
-    return completed, states
+        if entry.get("kind") == "cell":
+            result = CellResult.from_entry(entry)
+            completed[result.cell_id] = result
+    return completed
 
 
 # ---------------------------------------------------------------------------
@@ -591,17 +532,16 @@ def _execute_plan(
 ) -> SweepResult:
     """Walk the plan's shards; the shared body of run/resume."""
     completed: dict[str, CellResult] = {}
-    shard_states: dict[int, ShardStreamState] = {}
-    journal_exists = False
-    if journal is not None:
-        journal_exists = Path(journal).exists()
-        if journal_exists and not resume:
+    needs_header = journal is not None
+    if journal is not None and Path(journal).exists():
+        if not resume:
             raise SimulationError(
                 f"journal {journal} already exists; pass resume=True to "
                 "continue it or choose a fresh path"
             )
-        if resume and journal_exists:
-            completed, shard_states = _load_journal(journal, plan)
+        loaded = _load_journal(journal, plan)
+        if loaded is not None:
+            completed, needs_header = loaded, False
 
     prepared: dict[str, PreparedWorkload] = {}
     results: dict[int, CellResult] = {}
@@ -619,7 +559,7 @@ def _execute_plan(
         shards=len(plan.shards),
         workloads=len(plan.workloads),
     ):
-        if journal is not None and not journal_exists:
+        if needs_header:
             append_journal_entries(journal, [_journal_header(plan)])
         for shard in plan.shards:
             pending = [
@@ -633,13 +573,6 @@ def _execute_plan(
                     skipped += 1
                     obs.count("sweep.cells.skipped")
             if not pending:
-                if shard.index not in shard_states:
-                    # A pre-streaming journal restored this shard's cells
-                    # without a state line: rebuild the state from them.
-                    shard_states[shard.index] = ShardStreamState.from_results(
-                        shard.index,
-                        [results[planned.index] for planned in shard.cells()],
-                    )
                 continue
             if max_shards is not None and executed_shards >= max_shards:
                 break
@@ -651,19 +584,9 @@ def _execute_plan(
                 results[result.index] = result
                 executed += 1
                 obs.count("sweep.cells.completed")
-            # The shard's state covers every cell of the shard — newly
-            # executed and journal-restored alike — so folding the
-            # per-shard states reproduces the whole sweep's totals.
-            state = ShardStreamState.from_results(
-                shard.index,
-                [results[planned.index] for planned in shard.cells()],
-            )
-            shard_states[shard.index] = state
             if journal is not None:
                 append_journal_entries(
-                    journal,
-                    [result.to_entry(shard.index) for result in shard_results]
-                    + [state.to_entry()],
+                    journal, [result.to_entry(shard.index) for result in shard_results]
                 )
             executed_shards += 1
             obs.count("sweep.shards.completed")
@@ -677,9 +600,6 @@ def _execute_plan(
         executed=executed,
         skipped=skipped,
         level=level,
-        shard_states=tuple(
-            shard_states[index] for index in sorted(shard_states)
-        ),
     )
 
 
@@ -744,7 +664,6 @@ def _execute_shard(
         class_names = prepared[cells[0].workload_key].class_names
         for row in output:
             planned = by_index[row[0]]
-            counts = FusedCounts.from_row(row, class_names)
             shard_results.append(
                 CellResult(
                     index=planned.index,
@@ -752,13 +671,7 @@ def _execute_shard(
                     seed=planned.seed,
                     system_name=planned.cell.system.label(),
                     workload_name=planned.workload_key,
-                    cancer_failures=counts.cancer_failures,
-                    cancer_trials=counts.cancer_trials,
-                    healthy_failures=counts.healthy_failures,
-                    healthy_trials=counts.healthy_trials,
-                    class_names=counts.class_names,
-                    class_failures=counts.class_failures,
-                    class_trials=counts.class_trials,
+                    counts=FusedCounts.from_row(row, class_names),
                 )
             )
     shard_results.sort(key=lambda result: result.index)
@@ -779,8 +692,6 @@ def reproduce_cell(
     with the recorded ``(seed, chunk_size)`` — the independent path the
     determinism contract promises is bit-identical to the fused sweep.
     """
-    from ..engine.executor import evaluate_system_batch
-
     planned = plan.cell_by_id(cell_id)
     workload = planned.cell.workload.build()
     system = planned.cell.system.build(planned.seed)

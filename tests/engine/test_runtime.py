@@ -14,7 +14,7 @@ from repro.engine import (
     shared_memory_available,
 )
 from repro.engine import runtime as runtime_module
-from repro.exceptions import SimulationError
+from repro.exceptions import RuntimeDegradationWarning, SimulationError
 from repro.reader import MILD_BIAS, ReaderModel, ReaderSkill
 from repro.screening import SubtletyClassifier
 
@@ -93,9 +93,13 @@ class TestDeterminism:
             )
         assert failure_counts(pooled) == failure_counts(serial)
 
-    def test_fallback_path_matches_shared_memory_path(self):
+    def test_fallback_path_matches_shared_memory_path(self, monkeypatch):
         workload = make_workload(2500)
-        with EngineRuntime(workers=2, use_shared_memory=False) as no_shm:
+        with monkeypatch.context() as patched:
+            patched.setattr(runtime_module, "shared_memory_available", lambda: False)
+            with pytest.warns(RuntimeDegradationWarning, match="no_shm"):
+                no_shm = EngineRuntime(workers=2)
+        with no_shm:
             assert not no_shm.uses_shared_memory
             pickled = evaluate_system_batch(
                 make_system(), workload, seed=7, chunk_size=500, runtime=no_shm

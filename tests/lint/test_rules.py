@@ -88,7 +88,7 @@ class TestRep001Randomness:
             def fresh():
                 return np.random.default_rng()
             """,
-            module="repro.engine.executor",
+            module="repro._numeric",
             select=("REP001",),
         )
         assert findings == []

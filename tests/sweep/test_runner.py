@@ -216,26 +216,7 @@ class TestShardStreamStates:
         ):
             assert key in summary
 
-    def test_journal_entry_round_trip(self):
-        result = run_sweep(small_grid(), seed=5, shard_size=3)
-        for state in result.shard_states:
-            restored = ShardStreamState.from_entry(state.to_entry())
-            assert restored.shard == state.shard
-            assert restored.cells == state.cells
-            assert restored.fn_failures == state.fn_failures
-            assert restored.fn_trials == state.fn_trials
-            assert restored.fp_failures == state.fp_failures
-            assert restored.fp_trials == state.fp_trials
-            assert restored.fn_rate.state() == state.fn_rate.state()
-            assert restored.fp_rate.state() == state.fp_rate.state()
-
     def test_malformed_entry_rejected(self):
-        with pytest.raises(SimulationError, match="schema"):
-            ShardStreamState.from_entry({"kind": "shard_state", "schema": 99})
-        entry = ShardStreamState().to_entry()
-        del entry["fn_rate"]
-        with pytest.raises(SimulationError, match="malformed shard state entry"):
-            ShardStreamState.from_entry(entry)
         with pytest.raises(SimulationError, match="cannot merge"):
             ShardStreamState().merge({"cells": 1})
 
