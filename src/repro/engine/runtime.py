@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import hashlib
 import pickle
+import sys
 import warnings
 import weakref
 from collections import OrderedDict
@@ -152,6 +153,24 @@ def shared_memory_available() -> bool:
             probe.unlink()
             _SHM_AVAILABLE = True
     return _SHM_AVAILABLE
+
+
+def _caller_stacklevel() -> int:
+    """The ``stacklevel`` naming the first frame outside ``repro.engine``.
+
+    Counted from the function that calls this one, so a warning raised
+    there points at the user's line whichever engine entry point (the
+    runtime, or the executor functions over it) it came through.
+    """
+    frame = sys._getframe(1)
+    level = 1
+    while frame.f_back is not None:
+        module = frame.f_globals.get("__name__", "")
+        if module != "repro.engine" and not module.startswith("repro.engine."):
+            break
+        frame = frame.f_back
+        level += 1
+    return level
 
 
 def _aligned(nbytes: int) -> int:
@@ -687,7 +706,7 @@ class EngineRuntime:
             warnings.warn(
                 f"EngineRuntime degraded ({reason}): {message}",
                 RuntimeDegradationWarning,
-                stacklevel=3,
+                stacklevel=_caller_stacklevel(),
             )
 
     def _ingested(

@@ -14,11 +14,11 @@ boundaries.  Two observations make exact vectorization possible:
 * **Trust is deterministic between caught failures.**  Between the rare
   cases where the reader catches a machine miss, trust follows the pure
   success recurrence — :func:`trust_growth_path`.
-  :func:`advance_adaptive_chunk` therefore *speculates*: it decides the
-  remaining chunk assuming successes, finds the first caught failure
-  (itself a function of those very decisions), accepts the prefix —
-  every accepted decision used exactly the trust the scalar loop would
-  have used — applies the penalty, and restarts after it.
+  :func:`advance_adaptive_chunk` therefore *speculates*: it decides a
+  growing window of cases assuming successes, finds the first caught
+  failure (itself a function of those very decisions), accepts the
+  prefix — every accepted decision used exactly the trust the scalar
+  loop would have used — applies the penalty, and restarts after it.
 
 Both recurrences are evaluated with Python-float arithmetic, one case
 at a time, so the state values match the scalar classes to the last
@@ -232,6 +232,12 @@ def advance_fatigued_chunk(
     return recall, next_state
 
 
+#: Cases :func:`advance_adaptive_chunk` speculates over at a chunk's
+#: start and after each caught failure; the window doubles while speculation keeps succeeding, so a
+#: chunk costs O(n + catches * window) instead of O(n * catches).
+_SPECULATION_WINDOW = 256
+
+
 def advance_adaptive_chunk(
     reader: ReaderModel,
     trust: "AdaptiveTrust",
@@ -242,12 +248,15 @@ def advance_adaptive_chunk(
 ) -> tuple[np.ndarray, ReaderStateVector]:
     """One chunk of :class:`~repro.reader.adaptation.AdaptiveReader` decisions.
 
-    Speculative segment vectorization: decide the remaining cases
+    Speculative segment vectorization: decide a window of cases
     assuming the success recurrence, accept up to (and including) the
     first caught machine failure, apply the penalty, restart after it.
     Every accepted decision used exactly the trust the scalar loop
     would have used, because the speculation was correct up to the
-    first catch by construction.
+    first catch by construction.  The window starts at 256 cases,
+    doubles while no failure is caught, and resets after a catch; an
+    accepted window's trust carries on from the path's last element,
+    the same Python-float recurrence, so windowing changes no result.
 
     Args:
         reader: The base reader model (bias at trust 1.0).
@@ -295,12 +304,15 @@ def advance_adaptive_chunk(
     caught_total = int(state.caught_failures[0])
 
     pos = 0
+    window = _SPECULATION_WINDOW
     while pos < n:
-        seg_len = n - pos
+        seg_len = min(window, n - pos)
+        end = pos + seg_len
         path = trust_growth_path(t, growth, max_trust, seg_len)
 
         h_lo = int(np.searchsorted(healthy_all, pos))
-        h = healthy_all[h_lo:]
+        h_hi = int(np.searchsorted(healthy_all, end))
+        h = healthy_all[h_lo:h_hi]
         if h.size:
             t_h = path[h - pos]
             recall_logit = logit_hcd[h] - skill.specificity
@@ -312,7 +324,8 @@ def advance_adaptive_chunk(
             recall_h = np.zeros(0, dtype=bool)
 
         c_lo = int(np.searchsorted(cancers_all, pos))
-        c = cancers_all[c_lo:]
+        c_hi = int(np.searchsorted(cancers_all, end))
+        c = cancers_all[c_lo:c_hi]
         if c.size:
             t_c = path[c - pos]
             start = offsets[c]
@@ -325,7 +338,7 @@ def advance_adaptive_chunk(
                 prompted, 0.0, bias.complacency_shift * t_c
             )
             attentive_miss = _sigmoid(
-                logit_hdd_cancers[c_lo:] - skill.detection + detection_shift
+                logit_hdd_cancers[c_lo:c_hi] - skill.detection + detection_shift
             )
             lapsed = u_lapse < skill.lapse_rate
             registered = prompted & (u_prompt < reader.prompt_effectiveness)
@@ -345,11 +358,15 @@ def advance_adaptive_chunk(
 
         hits = np.flatnonzero(caught)
         if hits.size == 0:
+            # The whole window was successes: accept it, continue the
+            # path from its end, and speculate further next time.
             recall[h] = recall_h
             recall[c] = recall_c
             successes += seg_len
             t = float(path[seg_len])
-            break
+            pos = end
+            window *= 2
+            continue
         first = int(c[hits[0]])
         keep_h = h <= first
         recall[h[keep_h]] = recall_h[keep_h]
@@ -359,6 +376,7 @@ def advance_adaptive_chunk(
         caught_total += 1
         t = float(path[first - pos]) * penalty
         pos = first + 1
+        window = _SPECULATION_WINDOW
 
     next_state = state.replace(
         trust=np.array([t]),

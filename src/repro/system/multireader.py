@@ -11,20 +11,32 @@ implements those configurations over the same reader/CADT substrates:
 * recall policies: recall if *either* recalls (maximises sensitivity),
   only if *both* agree (maximises specificity), or *arbitration* by a
   third reader on disagreements (common U.K. practice).
+
+Both systems share one fixed randomness layout: the tool (if any)
+processes the case, then ``readers[0]``, ``readers[1]`` and — under
+arbitration — the arbiter each decide, *whatever* the first two said;
+the arbiter's decision is used only on disagreement.  Because every
+case's consumption then depends only on its ground truth, the batch
+path (:meth:`decide_batch`) reproduces the scalar loop bit for bit
+(see ``docs/engine.md``).
 """
 
 from __future__ import annotations
 
 import enum
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
+from ..cadt.algorithm import CadtBatchOutput, CadtOutput
 from ..cadt.tool import Cadt
 from ..exceptions import SimulationError
 from ..reader.reader import ReaderModel
 from ..screening.case import Case
-from .single import SystemDecision
+from .single import BatchDecisions, SystemDecision, _split_shared_uniforms
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard (engine imports us)
+    from ..engine.arrays import CaseArrays
 
 __all__ = ["RecallPolicy", "DoubleReading", "AssistedDoubleReading"]
 
@@ -40,22 +52,135 @@ class RecallPolicy(enum.Enum):
     ARBITRATION = "arbitration"
 
 
-def _combine(
-    first_recall: bool,
-    second_recall: bool,
-    policy: RecallPolicy,
-    arbiter_recall,
-) -> bool:
-    if policy is RecallPolicy.EITHER:
-        return first_recall or second_recall
-    if policy is RecallPolicy.UNANIMOUS:
-        return first_recall and second_recall
-    if first_recall == second_recall:
-        return first_recall
-    return bool(arbiter_recall())
+class _PairedReading:
+    """Validation, recall combinator and batch path of the two-reader systems.
+
+    Subclasses set ``_prefix`` (the default name's stem) and, for the
+    assisted configuration, ``cadt``.
+    """
+
+    _prefix: str
+    cadt: Cadt | None = None
+
+    def __init__(
+        self,
+        readers: Sequence[ReaderModel],
+        policy: RecallPolicy,
+        arbiter: ReaderModel | None,
+        name: str | None,
+    ):
+        if len(readers) != 2:
+            raise SimulationError(f"double reading needs exactly 2 readers, got {len(readers)}")
+        self.readers = tuple(readers)
+        self.policy = RecallPolicy(policy)
+        if self.policy is RecallPolicy.ARBITRATION and arbiter is None:
+            raise SimulationError("the arbitration policy requires an arbiter reader")
+        self.arbiter = arbiter
+        self._name = name if name is not None else f"{self._prefix}_{self.policy.value}"
+
+    @property
+    def name(self) -> str:
+        return self._name
+
+    def _deciders(self) -> tuple[ReaderModel, ...]:
+        """The readers that decide every case, in decision order."""
+        if self.policy is RecallPolicy.ARBITRATION:
+            return (*self.readers, self.arbiter)
+        return self.readers
+
+    def _combine(self, first, second, arbiter=None):
+        """The system recall from the deciders' recalls (bools or masks)."""
+        if self.policy is RecallPolicy.EITHER:
+            return first | second
+        if self.policy is RecallPolicy.UNANIMOUS:
+            return first & second
+        return np.where(first == second, first, arbiter)
+
+    @property
+    def supports_batch(self) -> bool:
+        """Whether :meth:`decide_batch` is available.
+
+        Requires plain :class:`ReaderModel` deciders, a drift-free tool,
+        and no decider appearing twice: one object's private generator
+        is consumed case by case across its roles in the scalar loop but
+        role by role in a batch, so aliased readers stay scalar.
+        """
+        deciders = self._deciders()
+        return (
+            all(isinstance(reader, ReaderModel) for reader in deciders)
+            and (self.cadt is None or self.cadt.drift_per_case == 0.0)
+            and len({id(reader) for reader in deciders}) == len(deciders)
+        )
+
+    def decide(
+        self, case: Case, rng: np.random.Generator | None = None
+    ) -> SystemDecision:
+        """Decide one case in the fixed randomness layout.
+
+        The tool (if any) processes the case, then ``readers[0]``,
+        ``readers[1]`` and, under arbitration, the arbiter decide — the
+        arbiter on every case, its recall used only on disagreement — so
+        what a case consumes depends on its ground truth alone.
+        """
+        output: CadtOutput | None = None
+        machine_failed: bool | None = None
+        if self.cadt is not None:
+            output = self.cadt.process(case, rng)
+            machine_failed = (
+                output.is_false_negative(case)
+                if case.has_cancer
+                else output.is_false_positive(case)
+            )
+        recalls = [reader.decide(case, output, rng).recall for reader in self._deciders()]
+        return SystemDecision(
+            case_id=case.case_id,
+            recall=bool(self._combine(*recalls)),
+            machine_failed=machine_failed,
+        )
+
+    def decide_batch(
+        self, arrays: "CaseArrays", rng: np.random.Generator | None = None
+    ) -> BatchDecisions:
+        """Vectorized :meth:`decide` over a batch of cases.
+
+        With ``rng`` omitted, the tool and each decider draw from their
+        own private generators in the fixed layouts the scalar loop
+        consumes.  With a shared ``rng``, one flat draw is split per
+        case into the tool's ``[u_miss, u_prompts]`` (assisted only)
+        followed by each decider's uniforms in decision order — the
+        interleaving :meth:`decide` consumes from a shared generator.
+        Either way the results are bit-identical to the scalar loop.
+        """
+        if not self.supports_batch:
+            raise SimulationError(
+                f"system {self.name!r} has stateful, drifting or aliased "
+                "components; use the scalar path"
+            )
+        deciders = self._deciders()
+        output: CadtBatchOutput | None = None
+        if rng is None:
+            if self.cadt is not None:
+                output = self.cadt.process_batch(arrays)
+            recalls = [reader.decide_batch(arrays, output) for reader in deciders]
+        else:
+            lead = 0 if self.cadt is None else 2
+            cadt_u, reader_us = _split_shared_uniforms(arrays, rng, lead, len(deciders))
+            if self.cadt is not None:
+                output = self.cadt.process_batch(arrays, u=cadt_u)
+            recalls = [
+                reader.decide_batch(arrays, output, u=u)
+                for reader, u in zip(deciders, reader_us)
+            ]
+        return BatchDecisions(
+            case_id=arrays.case_id,
+            recall=self._combine(*recalls),
+            machine_failed=(
+                None if output is None else output.machine_failed(arrays.has_cancer)
+            ),
+        )
 
 
-class DoubleReading:
+class DoubleReading(_PairedReading):
     """Two unaided readers with a recall policy (U.K. practice baseline).
 
     Args:
@@ -66,6 +191,8 @@ class DoubleReading:
         name: Evaluation label.
     """
 
+    _prefix = "double"
+
     def __init__(
         self,
         readers: Sequence[ReaderModel],
@@ -73,34 +200,10 @@ class DoubleReading:
         arbiter: ReaderModel | None = None,
         name: str | None = None,
     ):
-        if len(readers) != 2:
-            raise SimulationError(f"double reading needs exactly 2 readers, got {len(readers)}")
-        self.readers = tuple(readers)
-        self.policy = RecallPolicy(policy)
-        if self.policy is RecallPolicy.ARBITRATION and arbiter is None:
-            raise SimulationError("the arbitration policy requires an arbiter reader")
-        self.arbiter = arbiter
-        self._name = name if name is not None else f"double_{self.policy.value}"
-
-    @property
-    def name(self) -> str:
-        return self._name
-
-    def decide(
-        self, case: Case, rng: np.random.Generator | None = None
-    ) -> SystemDecision:
-        first = self.readers[0].decide(case, None, rng)
-        second = self.readers[1].decide(case, None, rng)
-        recall = _combine(
-            first.recall,
-            second.recall,
-            self.policy,
-            lambda: self.arbiter.decide(case, None, rng).recall,
-        )
-        return SystemDecision(case_id=case.case_id, recall=recall, machine_failed=None)
+        super().__init__(readers, policy, arbiter, name)
 
 
-class AssistedDoubleReading:
+class AssistedDoubleReading(_PairedReading):
     """Two readers, each seeing the same CADT output, with a recall policy.
 
     The CADT processes each case once; both readers review the same
@@ -116,6 +219,8 @@ class AssistedDoubleReading:
         name: Evaluation label.
     """
 
+    _prefix = "assisted_double"
+
     def __init__(
         self,
         readers: Sequence[ReaderModel],
@@ -124,37 +229,5 @@ class AssistedDoubleReading:
         arbiter: ReaderModel | None = None,
         name: str | None = None,
     ):
-        if len(readers) != 2:
-            raise SimulationError(f"double reading needs exactly 2 readers, got {len(readers)}")
-        self.readers = tuple(readers)
+        super().__init__(readers, policy, arbiter, name)
         self.cadt = cadt
-        self.policy = RecallPolicy(policy)
-        if self.policy is RecallPolicy.ARBITRATION and arbiter is None:
-            raise SimulationError("the arbitration policy requires an arbiter reader")
-        self.arbiter = arbiter
-        self._name = name if name is not None else f"assisted_double_{self.policy.value}"
-
-    @property
-    def name(self) -> str:
-        return self._name
-
-    def decide(
-        self, case: Case, rng: np.random.Generator | None = None
-    ) -> SystemDecision:
-        output = self.cadt.process(case, rng)
-        machine_failed = (
-            output.is_false_negative(case)
-            if case.has_cancer
-            else output.is_false_positive(case)
-        )
-        first = self.readers[0].decide(case, output, rng)
-        second = self.readers[1].decide(case, output, rng)
-        recall = _combine(
-            first.recall,
-            second.recall,
-            self.policy,
-            lambda: self.arbiter.decide(case, output, rng).recall,
-        )
-        return SystemDecision(
-            case_id=case.case_id, recall=recall, machine_failed=machine_failed
-        )

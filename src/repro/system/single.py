@@ -37,22 +37,29 @@ __all__ = [
 
 
 def _split_shared_uniforms(
-    arrays: "CaseArrays", rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray]:
-    """Split one flat draw into the CADT's and the reader's uniforms.
+    arrays: "CaseArrays", rng: np.random.Generator, lead: int, readers: int = 1
+) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Split one flat draw into a lead component's and the readers' uniforms.
 
-    Per case: ``[u_miss, u_prompts]`` for the tool followed by the
-    reader's uniforms (four on cancers, one on healthy cases) — the same
+    Per case: ``lead`` uniforms for the component deciding first (the
+    CADT's ``[u_miss, u_prompts]``), then each of ``readers`` readers'
+    uniforms in turn (four on cancers, one on healthy cases) — the same
     interleaving the scalar loop consumes from a shared generator.
+    Returns the ``(n, lead)`` lead block and one flat array per reader
+    in the reader's own fixed layout.
     """
-    counts = np.where(arrays.has_cancer, 6, 3)
+    per_reader = np.where(arrays.has_cancer, 4, 1)
+    counts = lead + readers * per_reader
     offsets = np.cumsum(counts) - counts  # exclusive prefix sum
     flat = rng.random(int(counts.sum()))
-    cadt_u = np.stack((flat[offsets], flat[offsets + 1]), axis=1)
-    reader_mask = np.ones(flat.shape[0], dtype=bool)
-    reader_mask[offsets] = False
-    reader_mask[offsets + 1] = False
-    return cadt_u, flat[reader_mask]
+    lead_u = flat[offsets[:, None] + np.arange(lead)]
+    # Flat index of each reader-layout slot: its case's first reader
+    # slot, plus its place within the case, plus k whole reader blocks.
+    widths = np.repeat(per_reader, per_reader)
+    reader_offsets = np.cumsum(per_reader) - per_reader
+    within = np.arange(widths.shape[0]) - np.repeat(reader_offsets, per_reader)
+    first = np.repeat(offsets + lead, per_reader) + within
+    return lead_u, [flat[first + k * widths] for k in range(readers)]
 
 
 @dataclass(frozen=True)
@@ -296,7 +303,7 @@ class AssistedReading:
             output = self.cadt.process_batch(arrays)
             recall = self.reader.decide_batch(arrays, output)
         else:
-            cadt_u, reader_u = _split_shared_uniforms(arrays, rng)
+            cadt_u, (reader_u,) = _split_shared_uniforms(arrays, rng, 2)
             output = self.cadt.process_batch(arrays, u=cadt_u)
             recall = self.reader.decide_batch(arrays, output, u=reader_u)
         return BatchDecisions(
@@ -351,7 +358,7 @@ class AssistedReading:
             output = self.cadt.process_batch(arrays)
             recall, next_state = self.reader.advance_stream(arrays, output, state)
         else:
-            cadt_u, reader_u = _split_shared_uniforms(arrays, rng)
+            cadt_u, (reader_u,) = _split_shared_uniforms(arrays, rng, 2)
             output = self.cadt.process_batch(arrays, u=cadt_u)
             recall, next_state = self.reader.advance_stream(
                 arrays, output, state, u=reader_u

@@ -20,7 +20,7 @@ import json
 import os
 import time
 from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator, Mapping
+from typing import Any, BinaryIO, Callable, Iterable, Iterator, Mapping
 
 from ..core.case_class import CaseClass
 from ..exceptions import EstimationError
@@ -52,6 +52,40 @@ CSV_COLUMNS = (
     "recalled",
 )
 
+#: Bytes read per step when scanning a journal back for its last newline.
+_TAIL_BLOCK = 4096
+
+
+def _end_at_last_newline(handle: BinaryIO) -> None:
+    """Ready a journal opened ``a+b`` for an append after a torn write.
+
+    Text after the last newline is what a mid-write kill leaves.  If it
+    parses, it is a whole entry the loader keeps and only its newline is
+    missing, so the newline is written: cutting it would drop an entry
+    the last load returned (a sweep's header, say).  Otherwise the
+    loader drops it, and it is cut off here.
+    """
+    end = handle.seek(0, os.SEEK_END)
+    pos = end
+    tail = b""
+    while pos > 0:
+        step = min(_TAIL_BLOCK, pos)
+        pos -= step
+        handle.seek(pos)
+        tail = handle.read(step) + tail
+        newline = tail.rfind(b"\n")
+        if newline >= 0:
+            tail = tail[newline + 1 :]
+            break
+    if not tail:
+        return
+    try:
+        json.loads(tail)
+    except ValueError:
+        handle.truncate(end - len(tail))
+    else:
+        handle.write(b"\n")
+
 
 def append_journal_entries(
     path: PathLike, entries: Iterable[Mapping[str, Any]]
@@ -61,7 +95,11 @@ def append_journal_entries(
     Each entry becomes one line.  The whole batch is written, flushed,
     and fsynced in a single append so a crash between calls never leaves
     a partial *batch* — at worst the final line of the last batch is
-    truncated, which :func:`load_journal_entries` tolerates.
+    truncated, which :func:`load_journal_entries` tolerates.  Such a
+    torn tail is cut off before the new lines are written, so it cannot
+    merge with them into a malformed line mid-file; a tail that is a
+    whole entry missing only its newline (which the loader keeps) is
+    ended instead.
 
     Raises:
         EstimationError: if an entry is not a JSON object, or the file
@@ -77,8 +115,9 @@ def append_journal_entries(
     if not lines:
         return
     try:
-        with open(path, "a") as handle:
-            handle.write("\n".join(lines) + "\n")
+        with open(path, "a+b") as handle:
+            _end_at_last_newline(handle)
+            handle.write(("\n".join(lines) + "\n").encode())
             handle.flush()
             os.fsync(handle.fileno())
     except OSError as exc:

@@ -25,9 +25,14 @@ from repro.engine.fused import (
     run_fused_batch,
 )
 from repro.screening import SubtletyClassifier
+from repro.system import RecallPolicy
 from repro.system.simulate import FailureTally
 
 from tests.engine.test_executor import make_system, make_workload
+from tests.engine.test_multireader_equivalence import (
+    make_assisted_double_system,
+    make_double_system,
+)
 from tests.engine.test_stateful_equivalence import (
     make_adaptive_system,
     make_fatigued_system,
@@ -75,7 +80,10 @@ FACTORIES = {
     "batch": make_system,
     "fatigued": make_fatigued_system,
     "adaptive": make_adaptive_system,
+    "double": lambda: make_double_system(RecallPolicy.UNANIMOUS),
+    "assisted_double": lambda: make_assisted_double_system(RecallPolicy.ARBITRATION),
 }
+STREAM_KINDS = ("fatigued", "adaptive")
 
 
 def in_process(system, workload, classifier):
@@ -117,6 +125,6 @@ def test_kernel_matches_the_reference_loop(kind, path):
     assert list(evaluation.per_class_false_negative) == list(
         expected.per_class_false_negative
     )
-    if kind != "batch":
+    if kind in STREAM_KINDS:
         # The stream's final reader state came back to the caller's system.
         assert reader_state(system) == reader_state(reference_system)
